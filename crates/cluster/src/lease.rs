@@ -50,7 +50,7 @@ use agar_cache::{AtomicCacheStats, CacheStats};
 use agar_ec::ObjectId;
 use agar_obs::Counter;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 
 /// One per-object lease slot: `held` flips under the mutex, waiters
 /// park on the condvar.
@@ -414,24 +414,34 @@ impl Drop for WriteLease<'_> {
 /// forwards the node's object-level occupancy events into the holder
 /// registry.
 pub(crate) struct MemberCacheSink {
-    pub(crate) manager: Arc<WriteLeaseManager>,
+    /// Weak because the manager's member table holds the node that
+    /// holds this sink: a strong handle would make a router dropped
+    /// with members still registered leak its whole deployment.
+    /// Events after the manager is gone are no-ops.
+    pub(crate) manager: Weak<WriteLeaseManager>,
     pub(crate) member: u64,
 }
 
 impl CacheEventSink for MemberCacheSink {
     fn object_filled(&self, object: ObjectId) {
-        self.manager.record_fill(self.member, object);
+        if let Some(manager) = self.manager.upgrade() {
+            manager.record_fill(self.member, object);
+        }
     }
 
     fn object_dropped(&self, object: ObjectId) {
-        self.manager.record_drop(self.member, object);
+        if let Some(manager) = self.manager.upgrade() {
+            manager.record_drop(self.member, object);
+        }
     }
 
     fn object_written(&self, object: ObjectId, _version: u64) {
         // The writer's cache is already invalidated; make sure the
         // registry agrees even if the drop event never fired (nothing
         // was cached locally).
-        self.manager.record_drop(self.member, object);
+        if let Some(manager) = self.manager.upgrade() {
+            manager.record_drop(self.member, object);
+        }
     }
 }
 

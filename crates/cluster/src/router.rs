@@ -282,7 +282,7 @@ impl ClusterRouter {
         node.set_chunk_fetcher(Arc::clone(&self.coordinator) as _);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         node.set_cache_event_sink(Some(Arc::new(MemberCacheSink {
-            manager: Arc::clone(&self.leases),
+            manager: Arc::downgrade(&self.leases),
             member: id,
         })));
         self.leases.register_member(id, Arc::clone(&node));
@@ -949,6 +949,32 @@ mod tests {
                 expected_payload(i, SIZE).as_slice()
             );
         }
+    }
+
+    #[test]
+    fn dropping_a_router_with_members_frees_its_nodes() {
+        // The lease manager holds each member node, and each node's
+        // cache-event sink points back at the manager: the sink's
+        // handle must be weak, or the deployment outlives its router.
+        let backend = backend(4);
+        let router =
+            ClusterRouter::new(Arc::clone(&backend), ClusterSettings::default(), 5).unwrap();
+        let first = node(&backend, FRANKFURT, 0);
+        let second = node(&backend, DUBLIN, 1);
+        router.add_node(Arc::clone(&first));
+        router.add_node(Arc::clone(&second));
+        for i in 0..4u64 {
+            router.read(ObjectId::new(i)).unwrap();
+        }
+        router.write(ObjectId::new(0), &[7; SIZE]).unwrap();
+        let watched = Arc::downgrade(&first);
+        drop(router);
+        drop(first);
+        drop(second);
+        assert!(
+            watched.upgrade().is_none(),
+            "router leaked its member nodes"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!
 //! - **Addition** — append an option to an existing intermediate
 //!   configuration, producing a heavier configuration;
-//! - **Relaxation** ([`relax`]) — shrink an option already in the
+//! - **Relaxation** (paper Figure 5) — shrink an option already in the
 //!   configuration to a lower weight of the same object, using the freed
 //!   space for the new option, keeping total weight constant.
 //!
@@ -19,6 +19,13 @@
 //! the final answer is the best configuration of weight ≤ capacity
 //! rather than exactly capacity.
 //!
+//! The table is index-based: each intermediate configuration holds dense
+//! option ids rather than cloned [`CachingOption`]s, together with an
+//! object-membership bitset and a bound on what any relaxation could
+//! gain, so almost every (option, configuration) visit is decided in
+//! constant time. The moves, their order and their floating-point sums
+//! are exactly those of the paper's table.
+//!
 //! A greedy value-density solver and an exhaustive optimum are included
 //! as baselines: §II-D argues greedy can err by as much as 50%, and the
 //! tests verify the dynamic program dominates greedy and matches the
@@ -26,7 +33,7 @@
 
 use crate::options::{CachingOption, ObjectOptions};
 use agar_ec::ObjectId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// An intermediate or final cache configuration: at most one caching
 /// option per object.
@@ -69,94 +76,6 @@ impl Config {
         self.value += option.value();
         self.options.push(option);
     }
-
-    /// Replaces this configuration's option for `option.object()` (if
-    /// any) with `option`, returning the new configuration.
-    fn with_option(&self, option: CachingOption) -> Config {
-        match self
-            .options
-            .iter()
-            .position(|o| o.object() == option.object())
-        {
-            Some(index) => self.replace_and_add(index, None, option),
-            None => {
-                let mut extended = self.clone();
-                extended.push(option);
-                extended
-            }
-        }
-    }
-
-    /// Replaces the option at `index` with `replacement` (possibly `None`
-    /// for full eviction) and appends `addition`.
-    fn replace_and_add(
-        &self,
-        index: usize,
-        replacement: Option<CachingOption>,
-        addition: CachingOption,
-    ) -> Config {
-        let mut options = Vec::with_capacity(self.options.len() + 1);
-        for (i, option) in self.options.iter().enumerate() {
-            if i == index {
-                continue;
-            }
-            options.push(option.clone());
-        }
-        if let Some(r) = replacement {
-            options.push(r);
-        }
-        options.push(addition);
-        let weight = options.iter().map(CachingOption::weight).sum();
-        let value = options.iter().map(CachingOption::value).sum();
-        Config {
-            options,
-            weight,
-            value,
-        }
-    }
-}
-
-/// The relaxation move (paper Figure 5): try to make room for `option`
-/// by shrinking one existing option of the configuration to a lower
-/// weight of the same object, keeping the configuration's total weight
-/// unchanged. Returns the improved configuration if any replacement
-/// raises the value.
-pub fn relax(
-    config: &Config,
-    option: &CachingOption,
-    all_options: &HashMap<ObjectId, ObjectOptions>,
-) -> Option<Config> {
-    if config.contains_object(option.object()) {
-        return None;
-    }
-    let mut best: Option<Config> = None;
-    let mut best_value = config.value();
-    for (index, old) in config.options().iter().enumerate() {
-        if old.weight() < option.weight() {
-            continue; // cannot free enough space
-        }
-        let shrunk_weight = old.weight() - option.weight();
-        // SEARCHOPTION: the same object's option at the reduced weight;
-        // weight 0 means full eviction (an implicit empty option).
-        let replacement = if shrunk_weight == 0 {
-            None
-        } else {
-            match all_options
-                .get(&old.object())
-                .and_then(|opts| opts.by_weight(shrunk_weight))
-            {
-                Some(o) => Some(o.clone()),
-                None => continue,
-            }
-        };
-        let replacement_value = replacement.as_ref().map_or(0.0, CachingOption::value);
-        let candidate_value = config.value() - old.value() + replacement_value + option.value();
-        if candidate_value > best_value + 1e-9 {
-            best_value = candidate_value;
-            best = Some(config.replace_and_add(index, replacement, option.clone()));
-        }
-    }
-    best
 }
 
 /// Dynamic-programming solver for the cache configuration (paper
@@ -219,69 +138,52 @@ impl KnapsackSolver {
         all_options: &HashMap<ObjectId, ObjectOptions>,
         capacity: u32,
     ) -> Config {
-        let mut max_v: BTreeMap<u32, Config> = BTreeMap::new();
-        max_v.insert(0, Config::empty());
         if capacity == 0 {
             return Config::empty();
         }
-
-        // Keys in decreasing value order (ORDERBY in the paper).
-        let mut keys: Vec<&ObjectOptions> = all_options.values().collect();
-        keys.sort_by(|a, b| {
-            b.best_value()
-                .partial_cmp(&a.best_value())
-                .expect("option values are finite")
-                .then(a.object().cmp(&b.object()))
-        });
-
-        // Uncontended fast path: when every object's best option fits in
-        // the budget simultaneously, the per-object choices are
-        // independent and taking each object's maximum-value option is
-        // exactly optimal — no dynamic program needed. This is the
-        // common shape of the *disk* phase of a two-tier solve, where
-        // the tier is sized to hold most of what RAM rejected. Value
-        // ties break towards the heavier option, matching the dynamic
-        // program below (its final scan keeps the last — heaviest —
-        // configuration among equal values): a free upgrade to more
-        // cached chunks at identical modelled value.
-        let best_per_object: Vec<&CachingOption> = keys
-            .iter()
-            .filter_map(|opts| {
-                opts.iter()
-                    .filter(|o| o.value() > 0.0 && o.weight() > 0)
-                    .max_by(|a, b| {
-                        a.value()
-                            .partial_cmp(&b.value())
-                            .expect("option values are finite")
-                            .then(a.weight().cmp(&b.weight()))
-                    })
-            })
-            .collect();
-        let best_total: u64 = best_per_object.iter().map(|o| u64::from(o.weight())).sum();
-        if best_total <= u64::from(capacity) {
-            let mut config = Config::empty();
-            for option in best_per_object {
-                config.push(option.clone());
-            }
+        let keys = ordered_keys(all_options);
+        if let Some(config) = uncontended(&keys, capacity) {
             return config;
         }
+        let table = OptionTable::new(&keys);
+        let cells = self.fill(&table, capacity);
+        // Ascending weight order, and `max_by` keeps the last of equal
+        // maxima: value ties go to the heaviest configuration.
+        cells
+            .iter()
+            .flatten()
+            .max_by(|a, b| {
+                a.value
+                    .partial_cmp(&b.value)
+                    .expect("config values are finite")
+            })
+            .map_or_else(Config::empty, |cell| cell.to_config(&table))
+    }
 
+    /// Runs the dynamic program over every option of `table`. Returns
+    /// `MaxV`: `cells[w]` is the best configuration of weight exactly `w`
+    /// found, if any. Past the fast path the capacity is below the total
+    /// weight of the options, so the dense table is no larger than the
+    /// option list.
+    fn fill(&self, table: &OptionTable<'_>, capacity: u32) -> Vec<Option<Cell>> {
+        let objects = table.objects();
+        let mut cells: Vec<Option<Cell>> = (0..=capacity).map(|_| None).collect();
+        cells[0] = Some(Cell::empty(table));
+        let mut snapshot: Vec<usize> = Vec::new();
         let mut keys_since_full: usize = 0;
         let mut seen_full = false;
 
-        for object_options in keys.iter().cycle().take(keys.len() * self.passes) {
-            for option in object_options.iter() {
-                if option.weight() > capacity {
+        for object in (0..objects).cycle().take(objects * self.passes) {
+            for id in table.ids_of(object) {
+                let (option_weight, option_value) = (table.weight[id], table.value[id]);
+                if option_weight > capacity {
                     continue;
                 }
                 // Relaxation pass: improve configurations in place
                 // (weight unchanged).
-                let weights: Vec<u32> = max_v.keys().copied().collect();
-                for w in &weights {
-                    let config = &max_v[w];
-                    if let Some(improved) = relax(config, option, all_options) {
-                        debug_assert_eq!(improved.weight(), *w);
-                        max_v.insert(*w, improved);
+                for cell in cells.iter_mut().flatten() {
+                    if !cell.holds(object) && cell.may_relax(option_weight, option_value, table) {
+                        cell.relax(id, table);
                     }
                 }
                 // Addition pass: extend configurations to new weights.
@@ -290,35 +192,51 @@ impl KnapsackSolver {
                 // downgrade) — without it a small option admitted early
                 // could never grow, and the DP would miss optima the
                 // exhaustive solver finds (DESIGN.md deviation list).
-                // Weights are visited in DESCENDING order, the classic
-                // 0/1-knapsack trick: additions only ever target heavier
-                // weights, so no configuration is overwritten before the
-                // pass has extended it.
-                let weights: Vec<u32> = max_v.keys().rev().copied().collect();
-                for w in weights {
-                    // Price the candidate without materialising it: the
-                    // clone inside `with_option` dominates solver runtime
-                    // when configurations hold hundreds of options, and
+                // Weights present before the pass are visited in
+                // DESCENDING order, the classic 0/1-knapsack trick:
+                // additions only ever target heavier weights, so no
+                // configuration is overwritten before the pass has
+                // extended it.
+                snapshot.clear();
+                snapshot.extend((0..cells.len()).rev().filter(|&w| cells[w].is_some()));
+                for &w in &snapshot {
+                    let Some(base) = &cells[w] else { continue };
+                    let w = w as u32;
+                    // Price the candidate without materialising it:
                     // almost every candidate loses the comparison below.
-                    let base = &max_v[&w];
-                    let (new_weight, new_value) =
-                        match base.options.iter().find(|o| o.object() == option.object()) {
-                            Some(old) => (
-                                w - old.weight() + option.weight(),
-                                base.value() - old.value() + option.value(),
-                            ),
-                            None => (w + option.weight(), base.value() + option.value()),
-                        };
+                    let held = if base.holds(object) {
+                        base.ids.iter().position(|&e| table.object[e] == object)
+                    } else {
+                        None
+                    };
+                    let (new_weight, new_value) = match held {
+                        Some(index) => {
+                            let old = base.ids[index];
+                            (
+                                w - table.weight[old] + option_weight,
+                                base.value - table.value[old] + option_value,
+                            )
+                        }
+                        None => (w + option_weight, base.value + option_value),
+                    };
                     if new_weight > capacity || new_weight == w {
                         continue;
                     }
-                    let should_replace = max_v
-                        .get(&new_weight)
-                        .is_none_or(|existing| existing.value() < new_value - 1e-12);
+                    let target = new_weight as usize;
+                    let should_replace = cells[target]
+                        .as_ref()
+                        .is_none_or(|existing| existing.value < new_value - 1e-12);
                     if should_replace {
-                        let candidate = max_v[&w].with_option(option.clone());
-                        debug_assert_eq!(candidate.weight(), new_weight);
-                        max_v.insert(new_weight, candidate);
+                        let candidate = match held {
+                            Some(index) => Cell::replaced(&base.ids, index, None, id, table),
+                            None => {
+                                let mut extended = base.clone();
+                                extended.push(id, table);
+                                extended.value = new_value;
+                                extended
+                            }
+                        };
+                        cells[target] = Some(candidate);
                     }
                 }
             }
@@ -329,20 +247,240 @@ impl KnapsackSolver {
                     if keys_since_full >= stop_after {
                         break;
                     }
-                } else if max_v.contains_key(&capacity) {
+                } else if cells[capacity as usize].is_some() {
                     seen_full = true;
                 }
             }
         }
+        cells
+    }
+}
 
-        max_v
-            .into_values()
-            .max_by(|a, b| {
-                a.value()
-                    .partial_cmp(&b.value())
-                    .expect("config values are finite")
-            })
-            .unwrap_or_default()
+/// The keys of `POPULATE` in decreasing best-value order (ORDERBY in
+/// the paper), ties broken by object id.
+fn ordered_keys(all_options: &HashMap<ObjectId, ObjectOptions>) -> Vec<&ObjectOptions> {
+    let mut keys: Vec<&ObjectOptions> = all_options.values().collect();
+    keys.sort_by(|a, b| {
+        b.best_value()
+            .partial_cmp(&a.best_value())
+            .expect("option values are finite")
+            .then(a.object().cmp(&b.object()))
+    });
+    keys
+}
+
+/// Uncontended fast path: when every object's best option fits in the
+/// budget simultaneously, the per-object choices are independent and
+/// taking each object's maximum-value option is exactly optimal — no
+/// dynamic program needed. This is the common shape of the *disk* phase
+/// of a two-tier solve, where the tier is sized to hold most of what RAM
+/// rejected. Value ties break towards the heavier option, matching the
+/// dynamic program (its final scan keeps the last — heaviest —
+/// configuration among equal values): a free upgrade to more cached
+/// chunks at identical modelled value.
+fn uncontended(keys: &[&ObjectOptions], capacity: u32) -> Option<Config> {
+    let best_per_object: Vec<&CachingOption> = keys
+        .iter()
+        .filter_map(|opts| {
+            opts.iter()
+                .filter(|o| o.value() > 0.0 && o.weight() > 0)
+                .max_by(|a, b| {
+                    a.value()
+                        .partial_cmp(&b.value())
+                        .expect("option values are finite")
+                        .then(a.weight().cmp(&b.weight()))
+                })
+        })
+        .collect();
+    let best_total: u64 = best_per_object.iter().map(|o| u64::from(o.weight())).sum();
+    if best_total > u64::from(capacity) {
+        return None;
+    }
+    let mut config = Config::empty();
+    for option in best_per_object {
+        config.push(option.clone());
+    }
+    Some(config)
+}
+
+/// Rounding slack of the relaxation bound, relative to the magnitude of
+/// the values a candidate sums. A candidate is a four-term float sum, so
+/// it can clear the acceptance test by a few ulps even when the exact
+/// bound says it cannot (the differential tests catch a bound without
+/// slack). The error of that sum and of the bound stays below ~8 ulps of
+/// the magnitude; the slack is 8× wider, so the bound only skips scans
+/// that cannot accept.
+const RELAX_BOUND_SLACK: f64 = 64.0 * f64::EPSILON;
+
+/// Every option of one solve under a dense id. Ids run object by object
+/// in key order and weight-ascending within an object, so the option of
+/// the same object `d` chunks lighter than id `i` is id `i - d`.
+struct OptionTable<'a> {
+    options: Vec<&'a CachingOption>,
+    /// Dense object index (position in key order) of each id.
+    object: Vec<usize>,
+    weight: Vec<u32>,
+    value: Vec<f64>,
+    /// `first[o]..first[o + 1]` are the ids of object `o`.
+    first: Vec<usize>,
+    max_weight: u32,
+    max_abs_value: f64,
+}
+
+impl<'a> OptionTable<'a> {
+    fn new(keys: &[&'a ObjectOptions]) -> Self {
+        let mut table = OptionTable {
+            options: Vec::new(),
+            object: Vec::new(),
+            weight: Vec::new(),
+            value: Vec::new(),
+            first: Vec::with_capacity(keys.len() + 1),
+            max_weight: 0,
+            max_abs_value: 0.0,
+        };
+        for (object, options) in keys.iter().enumerate() {
+            table.first.push(table.options.len());
+            for (position, option) in options.iter().enumerate() {
+                // `ObjectOptions::by_weight` indexes by position, which
+                // the shrink arithmetic on ids relies on.
+                debug_assert_eq!(option.weight() as usize, position + 1);
+                table.options.push(option);
+                table.object.push(object);
+                table.weight.push(option.weight());
+                table.value.push(option.value());
+                table.max_weight = table.max_weight.max(option.weight());
+                table.max_abs_value = table.max_abs_value.max(option.value().abs());
+            }
+        }
+        table.first.push(table.options.len());
+        table
+    }
+
+    fn objects(&self) -> usize {
+        self.first.len() - 1
+    }
+
+    fn ids_of(&self, object: usize) -> std::ops::Range<usize> {
+        self.first[object]..self.first[object + 1]
+    }
+}
+
+/// One `MaxV` entry: a configuration as option ids in the order the
+/// options were added, plus what lets most visits skip it.
+#[derive(Clone)]
+struct Cell {
+    ids: Vec<usize>,
+    /// The configuration's value, accumulated exactly as the paper's
+    /// table does: appended options add to it, replacements re-sum it in
+    /// option order.
+    value: f64,
+    /// Bitset over dense object indices present in `ids`.
+    members: Vec<u64>,
+    /// `min_loss[w]`: the least value any one entry loses when shrunk by
+    /// `w` chunks (to the same object's lighter option, or out of the
+    /// configuration); infinite when no entry weighs `w` or more.
+    min_loss: Vec<f64>,
+}
+
+impl Cell {
+    fn empty(table: &OptionTable<'_>) -> Cell {
+        Cell {
+            ids: Vec::new(),
+            value: 0.0,
+            members: vec![0u64; table.objects().div_ceil(64)],
+            min_loss: vec![f64::INFINITY; table.max_weight as usize + 1],
+        }
+    }
+
+    /// Appends option `id`, keeping `members` and `min_loss` in step;
+    /// the caller accounts for the value.
+    fn push(&mut self, id: usize, table: &OptionTable<'_>) {
+        let object = table.object[id];
+        self.members[object / 64] |= 1 << (object % 64);
+        let weight = table.weight[id] as usize;
+        for shrink in 1..=weight {
+            let remaining = if shrink < weight {
+                table.value[id - shrink]
+            } else {
+                0.0
+            };
+            self.min_loss[shrink] = self.min_loss[shrink].min(table.value[id] - remaining);
+        }
+        self.ids.push(id);
+    }
+
+    /// Drops the entry at `index`, then appends `replacement` (if any)
+    /// and `addition`, re-summing the value in the new option order.
+    fn replaced(
+        ids: &[usize],
+        index: usize,
+        replacement: Option<usize>,
+        addition: usize,
+        table: &OptionTable<'_>,
+    ) -> Cell {
+        let mut cell = Cell::empty(table);
+        let kept = ids[..index].iter().chain(&ids[index + 1..]).copied();
+        for id in kept.chain(replacement).chain([addition]) {
+            cell.push(id, table);
+        }
+        cell.value = cell.ids.iter().map(|&id| table.value[id]).sum();
+        cell
+    }
+
+    fn holds(&self, object: usize) -> bool {
+        self.members[object / 64] & (1 << (object % 64)) != 0
+    }
+
+    /// Whether some relaxation by an option of this weight and value
+    /// could pass the acceptance test in [`Cell::relax`]; `false` only
+    /// when no candidate can.
+    fn may_relax(&self, weight: u32, value: f64, table: &OptionTable<'_>) -> bool {
+        let Some(&min_loss) = self.min_loss.get(weight as usize) else {
+            return false;
+        };
+        let slack = RELAX_BOUND_SLACK * (self.value.abs() + 3.0 * table.max_abs_value);
+        value - min_loss > 1e-9 - slack
+    }
+
+    /// The relaxation move (paper Figure 5): make room for option `id`
+    /// by shrinking one entry to a lower weight of the same object,
+    /// keeping the total weight unchanged. Of the entries, in order,
+    /// each one whose candidate beats the best so far by more than 1e-9
+    /// becomes the new best; the last such entry is applied.
+    fn relax(&mut self, id: usize, table: &OptionTable<'_>) {
+        let (weight, value) = (table.weight[id], table.value[id]);
+        let mut best: Option<(usize, Option<usize>)> = None;
+        let mut best_value = self.value;
+        for (index, &old) in self.ids.iter().enumerate() {
+            let old_weight = table.weight[old];
+            if old_weight < weight {
+                continue; // cannot free enough space
+            }
+            // SEARCHOPTION: the same object's option at the reduced
+            // weight; weight 0 means full eviction.
+            let replacement = (old_weight > weight).then(|| old - weight as usize);
+            let replacement_value = replacement.map_or(0.0, |r| table.value[r]);
+            let candidate = self.value - table.value[old] + replacement_value + value;
+            if candidate > best_value + 1e-9 {
+                best_value = candidate;
+                best = Some((index, replacement));
+            }
+        }
+        if let Some((index, replacement)) = best {
+            *self = Cell::replaced(&self.ids, index, replacement, id, table);
+        }
+    }
+
+    fn to_config(&self, table: &OptionTable<'_>) -> Config {
+        Config {
+            options: self
+                .ids
+                .iter()
+                .map(|&id| table.options[id].clone())
+                .collect(),
+            weight: self.ids.iter().map(|&id| table.weight[id]).sum(),
+            value: self.value,
+        }
     }
 }
 
@@ -477,6 +615,196 @@ pub fn exhaustive_optimum(all_options: &HashMap<ObjectId, ObjectOptions>, capaci
     best
 }
 
+/// The solver as the paper's table was first written here: every cell a
+/// full [`Config`], a linear search per addition and a map lookup per
+/// relaxation entry. [`KnapsackSolver::populate`] must reproduce it move
+/// for move; the differential tests compare the two bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    impl Config {
+        /// Replaces this configuration's option for `option.object()` (if
+        /// any) with `option`, returning the new configuration.
+        fn with_option(&self, option: CachingOption) -> Config {
+            match self
+                .options
+                .iter()
+                .position(|o| o.object() == option.object())
+            {
+                Some(index) => self.replace_and_add(index, None, option),
+                None => {
+                    let mut extended = self.clone();
+                    extended.push(option);
+                    extended
+                }
+            }
+        }
+
+        /// Replaces the option at `index` with `replacement` (possibly
+        /// `None` for full eviction) and appends `addition`.
+        fn replace_and_add(
+            &self,
+            index: usize,
+            replacement: Option<CachingOption>,
+            addition: CachingOption,
+        ) -> Config {
+            let mut options = Vec::with_capacity(self.options.len() + 1);
+            for (i, option) in self.options.iter().enumerate() {
+                if i == index {
+                    continue;
+                }
+                options.push(option.clone());
+            }
+            if let Some(r) = replacement {
+                options.push(r);
+            }
+            options.push(addition);
+            let weight = options.iter().map(CachingOption::weight).sum();
+            let value = options.iter().map(CachingOption::value).sum();
+            Config {
+                options,
+                weight,
+                value,
+            }
+        }
+    }
+
+    /// The relaxation move (paper Figure 5): try to make room for
+    /// `option` by shrinking one existing option of the configuration to
+    /// a lower weight of the same object, keeping the configuration's
+    /// total weight unchanged. Returns the improved configuration if any
+    /// replacement raises the value.
+    pub(super) fn relax(
+        config: &Config,
+        option: &CachingOption,
+        all_options: &HashMap<ObjectId, ObjectOptions>,
+    ) -> Option<Config> {
+        if config.contains_object(option.object()) {
+            return None;
+        }
+        let mut best: Option<Config> = None;
+        let mut best_value = config.value();
+        for (index, old) in config.options().iter().enumerate() {
+            if old.weight() < option.weight() {
+                continue; // cannot free enough space
+            }
+            let shrunk_weight = old.weight() - option.weight();
+            let replacement = if shrunk_weight == 0 {
+                None
+            } else {
+                match all_options
+                    .get(&old.object())
+                    .and_then(|opts| opts.by_weight(shrunk_weight))
+                {
+                    Some(o) => Some(o.clone()),
+                    None => continue,
+                }
+            };
+            let replacement_value = replacement.as_ref().map_or(0.0, CachingOption::value);
+            let candidate_value = config.value() - old.value() + replacement_value + option.value();
+            if candidate_value > best_value + 1e-9 {
+                best_value = candidate_value;
+                best = Some(config.replace_and_add(index, replacement, option.clone()));
+            }
+        }
+        best
+    }
+
+    /// `POPULATE` over a `BTreeMap` of full configurations.
+    pub(super) fn populate(
+        solver: &KnapsackSolver,
+        all_options: &HashMap<ObjectId, ObjectOptions>,
+        capacity: u32,
+    ) -> Config {
+        if capacity == 0 {
+            return Config::empty();
+        }
+        let keys = ordered_keys(all_options);
+        if let Some(config) = uncontended(&keys, capacity) {
+            return config;
+        }
+        best(fill(solver, &keys, all_options, capacity))
+    }
+
+    /// The final scan: the last configuration of maximal value.
+    pub(super) fn best(max_v: BTreeMap<u32, Config>) -> Config {
+        max_v
+            .into_values()
+            .max_by(|a, b| {
+                a.value()
+                    .partial_cmp(&b.value())
+                    .expect("config values are finite")
+            })
+            .unwrap_or_default()
+    }
+
+    /// The dynamic program; returns `MaxV`.
+    pub(super) fn fill(
+        solver: &KnapsackSolver,
+        keys: &[&ObjectOptions],
+        all_options: &HashMap<ObjectId, ObjectOptions>,
+        capacity: u32,
+    ) -> BTreeMap<u32, Config> {
+        let mut max_v: BTreeMap<u32, Config> = BTreeMap::new();
+        max_v.insert(0, Config::empty());
+        let mut keys_since_full: usize = 0;
+        let mut seen_full = false;
+
+        for object_options in keys.iter().cycle().take(keys.len() * solver.passes) {
+            for option in object_options.iter() {
+                if option.weight() > capacity {
+                    continue;
+                }
+                let weights: Vec<u32> = max_v.keys().copied().collect();
+                for w in &weights {
+                    let config = &max_v[w];
+                    if let Some(improved) = relax(config, option, all_options) {
+                        debug_assert_eq!(improved.weight(), *w);
+                        max_v.insert(*w, improved);
+                    }
+                }
+                let weights: Vec<u32> = max_v.keys().rev().copied().collect();
+                for w in weights {
+                    let base = &max_v[&w];
+                    let (new_weight, new_value) =
+                        match base.options.iter().find(|o| o.object() == option.object()) {
+                            Some(old) => (
+                                w - old.weight() + option.weight(),
+                                base.value() - old.value() + option.value(),
+                            ),
+                            None => (w + option.weight(), base.value() + option.value()),
+                        };
+                    if new_weight > capacity || new_weight == w {
+                        continue;
+                    }
+                    let should_replace = max_v
+                        .get(&new_weight)
+                        .is_none_or(|existing| existing.value() < new_value - 1e-12);
+                    if should_replace {
+                        let candidate = max_v[&w].with_option(option.clone());
+                        debug_assert_eq!(candidate.weight(), new_weight);
+                        max_v.insert(new_weight, candidate);
+                    }
+                }
+            }
+
+            if let Some(stop_after) = solver.stop_keys_after_full {
+                if seen_full {
+                    keys_since_full += 1;
+                    if keys_since_full >= stop_after {
+                        break;
+                    }
+                } else if max_v.contains_key(&capacity) {
+                    seen_full = true;
+                }
+            }
+        }
+        max_v
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,6 +812,8 @@ mod tests {
     use agar_ec::CodingParams;
     use agar_net::RegionId;
     use agar_store::ObjectManifest;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::time::Duration;
 
     /// Builds per-object options on the paper's Table I deployment with
@@ -631,12 +961,194 @@ mod tests {
         config.push(options[&obj0].by_weight(9).unwrap().clone());
         // Relaxing with object 1's weight-3 option shrinks object 0 to 6.
         let incoming = options[&obj1].by_weight(3).unwrap();
-        let improved = relax(&config, incoming, &options).expect("relaxation profitable");
+        let improved =
+            reference::relax(&config, incoming, &options).expect("relaxation profitable");
         assert_eq!(improved.weight(), 9);
         assert!(improved.value() > config.value());
         assert!(improved.contains_object(obj1));
         // Relaxing with an option for an object already present: no-op.
-        assert!(relax(&improved, options[&obj0].by_weight(1).unwrap(), &options).is_none());
+        assert!(
+            reference::relax(&improved, options[&obj0].by_weight(1).unwrap(), &options).is_none()
+        );
+    }
+
+    /// Every solver setting the repository runs.
+    fn solver_settings() -> [(&'static str, KnapsackSolver); 4] {
+        [
+            ("default", KnapsackSolver::new()),
+            ("passes(1)", KnapsackSolver::new().with_passes(1)),
+            (
+                "early_termination(5)",
+                KnapsackSolver::new().with_early_termination(5),
+            ),
+            (
+                "early_termination(30).passes(1)",
+                KnapsackSolver::new()
+                    .with_early_termination(30)
+                    .with_passes(1),
+            ),
+        ]
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Popularity {
+        /// `1000 / rank^s` with a random exponent.
+        Zipf,
+        /// Three levels on the paper's layout: many objects share
+        /// identical option values, so moves tie exactly.
+        Coarse,
+        /// One-decimal popularities.
+        Decimal,
+    }
+
+    /// A seeded instance of `objects` objects under shuffled, non-dense
+    /// ids (the request monitor tracks a sparse subset of the catalogue).
+    fn random_instance(
+        rng: &mut StdRng,
+        objects: usize,
+        popularity: Popularity,
+    ) -> HashMap<ObjectId, ObjectOptions> {
+        let paper_layout = matches!(popularity, Popularity::Coarse) || rng.random_range(0..2) == 0;
+        let latencies: Vec<Duration> = if paper_layout {
+            [80u64, 200, 600, 1400, 3400, 4600]
+                .into_iter()
+                .map(Duration::from_millis)
+                .collect()
+        } else {
+            (0..6)
+                .map(|_| Duration::from_millis(20 + rng.random_range(0..5000)))
+                .collect()
+        };
+        let params = match rng.random_range(0..4) {
+            0 => CodingParams::new(4, 2).unwrap(),
+            1 => CodingParams::new(6, 3).unwrap(),
+            _ => CodingParams::paper_default(),
+        };
+        let mut ids: Vec<u64> = (0..objects as u64 * 3).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.random_range(0..=i));
+        }
+        let exponent = 0.6 + f64::from(rng.random_range(0..9u32)) / 10.0;
+        // Non-integer popularities over magnitudes from 1e-3 to 1e5: sums
+        // carry rounding noise both below and above the 1e-12 and 1e-9
+        // tie thresholds, so any change to them or to the order of
+        // summation changes some configuration.
+        let scale = 10f64.powi(rng.random_range(-3..6)) / 3.0;
+        ids.into_iter()
+            .take(objects)
+            .enumerate()
+            .map(|(rank, id)| {
+                let object = ObjectId::new(id);
+                let locations = (0..params.total_chunks())
+                    .map(|c| {
+                        let region = if paper_layout {
+                            c as u16 % 6
+                        } else {
+                            rng.random_range(0..6)
+                        };
+                        RegionId::new(region)
+                    })
+                    .collect();
+                let manifest = ObjectManifest::new(object, 1_000_000, 1, params, locations);
+                let pop = scale
+                    * match popularity {
+                        Popularity::Zipf => 1.0 / ((rank + 1) as f64).powf(exponent),
+                        Popularity::Coarse => [0.2, 0.5, 0.7][rng.random_range(0..3usize)],
+                        Popularity::Decimal => f64::from(rng.random_range(1..=100u32)) / 10.0,
+                    };
+                (
+                    object,
+                    generate_options(&manifest, &latencies, Duration::from_millis(40), pop),
+                )
+            })
+            .collect()
+    }
+
+    fn assert_same_config(fast: &Config, slow: &Config, context: &str) {
+        assert_eq!(fast.options(), slow.options(), "{context}: options");
+        assert_eq!(fast.weight(), slow.weight(), "{context}: weight");
+        assert_eq!(
+            fast.value().to_bits(),
+            slow.value().to_bits(),
+            "{context}: value {} vs {}",
+            fast.value(),
+            slow.value()
+        );
+    }
+
+    /// Asserts the index-based solver replays the reference table
+    /// exactly under every solver setting: the answer, and every
+    /// intermediate configuration the table ends with, so a move the
+    /// answer happens not to depend on still counts.
+    fn assert_matches_reference(
+        options: &HashMap<ObjectId, ObjectOptions>,
+        capacity: u32,
+        context: &str,
+    ) {
+        let keys = ordered_keys(options);
+        let dp_runs = capacity > 0 && uncontended(&keys, capacity).is_none();
+        let table = OptionTable::new(&keys);
+        for (name, solver) in solver_settings() {
+            let context = format!("{context} {name}");
+            let answer = solver.populate(options, capacity);
+            if !dp_runs {
+                let expected = reference::populate(&solver, options, capacity);
+                assert_same_config(&answer, &expected, &context);
+                continue;
+            }
+            let cells = solver.fill(&table, capacity);
+            let max_v = reference::fill(&solver, &keys, options, capacity);
+            let weights: Vec<usize> = (0..cells.len()).filter(|&w| cells[w].is_some()).collect();
+            let reference_weights: Vec<usize> = max_v.keys().map(|&w| w as usize).collect();
+            assert_eq!(weights, reference_weights, "{context}: occupied weights");
+            for (w, config) in &max_v {
+                let cell = cells[*w as usize].as_ref().expect("occupied");
+                assert_same_config(&cell.to_config(&table), config, &format!("{context} w={w}"));
+            }
+            assert_same_config(&answer, &reference::best(max_v), &context);
+        }
+    }
+
+    #[test]
+    fn dp_replays_the_reference_table_on_seeded_instances() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
+        for case in 0..100u32 {
+            let popularity =
+                [Popularity::Zipf, Popularity::Coarse, Popularity::Decimal][case as usize % 3];
+            // Mostly catalogues that contend for the capacity (with up
+            // to 9 chunks an object, the fast path answers once the
+            // capacity exceeds ~9 chunks an object), a few large ones at
+            // small capacities.
+            let (objects, capacity) = if case % 20 == 19 {
+                (rng.random_range(40..=320), rng.random_range(0..=60))
+            } else {
+                let capacity = match case {
+                    0 => 0,
+                    1 => 200,
+                    _ => rng.random_range(0..=200),
+                };
+                (rng.random_range(1..=8 + capacity as usize / 6), capacity)
+            };
+            let options = random_instance(&mut rng, objects, popularity);
+            let context = format!("case {case} ({popularity:?}, {objects} objects, C={capacity})");
+            assert_matches_reference(&options, capacity, &context);
+        }
+    }
+
+    #[test]
+    fn dp_replays_the_reference_table_at_the_bench_shape() {
+        // The criterion bench's instance: 300 objects, Zipf-ish values,
+        // the paper's 90-chunk cache.
+        let pops: Vec<f64> = (0..300).map(|i| 1000.0 / (i + 1) as f64).collect();
+        let options = build_options(&pops);
+        assert_matches_reference(&options, 90, "bench shape");
+        // What the monitor hands the solver: a sparse subset of them
+        // (about 137 of the 300).
+        let tracked: HashMap<ObjectId, ObjectOptions> = options
+            .into_iter()
+            .filter(|(object, _)| object.index() * 7919 % 300 < 137)
+            .collect();
+        assert_matches_reference(&tracked, 90, "tracked subset");
     }
 
     #[test]
