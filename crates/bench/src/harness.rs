@@ -236,7 +236,7 @@ pub struct RunConfig {
     /// Number of closed-loop clients (the paper runs 2).
     pub clients: usize,
     /// Maximum hedge chunks Δ per read (Agar policy only; 0 disables
-    /// hedging and reproduces the unhedged engine byte for byte).
+    /// hedging).
     pub max_hedges: usize,
     /// RNG seed for this run.
     pub seed: u64,

@@ -316,7 +316,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fifo::Fifo;
     use crate::lfu::Lfu;
     use crate::lru::Lru;
 
@@ -382,16 +381,6 @@ mod tests {
         cache.get(&3);
         let out = cache.insert(4, bytes(10));
         assert_eq!(out.evicted()[0].0, 2);
-    }
-
-    #[test]
-    fn fifo_ignores_access_order() {
-        let mut cache = Cache::with_capacity(20, Fifo::new());
-        cache.insert(1u32, bytes(10));
-        cache.insert(2, bytes(10));
-        cache.get(&1);
-        let out = cache.insert(3, bytes(10));
-        assert_eq!(out.evicted()[0].0, 1);
     }
 
     #[test]

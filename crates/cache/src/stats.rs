@@ -122,17 +122,6 @@ impl CacheStats {
         self.object_misses
     }
 
-    /// Records one backend fetch served by piggybacking on another
-    /// reader's identical in-flight fetch (single-flight coalescing).
-    pub fn record_coalesced_fetch(&mut self) {
-        self.coalesced_fetches += 1;
-    }
-
-    /// Records one batched (region-grouped) backend round trip.
-    pub fn record_batched_request(&mut self) {
-        self.batched_requests += 1;
-    }
-
     /// Backend fetches served by an in-flight duplicate instead of a
     /// round trip of their own (single-flight coalescing).
     pub fn coalesced_fetches(&self) -> u64 {
@@ -142,23 +131,6 @@ impl CacheStats {
     /// Batched backend round trips issued (one per region group).
     pub fn batched_requests(&self) -> u64 {
         self.batched_requests
-    }
-
-    /// Records one granted per-object write lease.
-    pub fn record_lease_grant(&mut self) {
-        self.lease_grants += 1;
-    }
-
-    /// Records one write that had to wait for another writer's lease
-    /// on the same object (lease contention).
-    pub fn record_lease_contention(&mut self) {
-        self.lease_contentions += 1;
-    }
-
-    /// Records `n` targeted cache invalidations (members invalidated
-    /// because they actually held chunks of a written object).
-    pub fn record_targeted_invalidations(&mut self, n: u64) {
-        self.targeted_invalidations += n;
     }
 
     /// Per-object write leases granted.
@@ -202,24 +174,6 @@ impl CacheStats {
         self.systematic_fast_reads
     }
 
-    /// Records `n` hedge (speculative duplicate) backend requests
-    /// issued beyond the k the decode strictly needs.
-    pub fn record_hedged_requests(&mut self, n: u64) {
-        self.hedged_requests += n;
-    }
-
-    /// Records one hedge that arrived among the first k responses and
-    /// was bound into the decode.
-    pub fn record_hedge_win(&mut self) {
-        self.hedge_wins += 1;
-    }
-
-    /// Records `n` straggler responses discarded after the first k
-    /// arrivals already satisfied the read.
-    pub fn record_hedges_cancelled(&mut self, n: u64) {
-        self.hedges_cancelled += n;
-    }
-
     /// Hedge (speculative duplicate) backend requests issued.
     pub fn hedged_requests(&self) -> u64 {
         self.hedged_requests
@@ -235,30 +189,6 @@ impl CacheStats {
     /// satisfied by k faster arrivals.
     pub fn hedges_cancelled(&self) -> u64 {
         self.hedges_cancelled
-    }
-
-    /// Records one chunk lookup served by the disk tier after a RAM
-    /// miss (the RAM miss is counted separately via
-    /// `CacheStats::record_chunk_miss`).
-    pub fn record_disk_hit(&mut self) {
-        self.disk_hits += 1;
-    }
-
-    /// Records one chunk promoted disk → RAM on a disk-tier hit.
-    pub fn record_tier_promotion(&mut self) {
-        self.tier_promotions += 1;
-    }
-
-    /// Records one RAM eviction victim demoted to the disk tier
-    /// instead of being dropped.
-    pub fn record_tier_demotion(&mut self) {
-        self.tier_demotions += 1;
-    }
-
-    /// Records `n` entries evicted from the disk tier to stay within
-    /// its byte budget.
-    pub fn record_disk_evictions(&mut self, n: u64) {
-        self.disk_evictions += n;
     }
 
     /// Chunk lookups served by the disk tier after a RAM miss.
@@ -831,9 +761,10 @@ mod tests {
         assert_eq!(snap.coalesced_fetches(), 2);
         assert_eq!(snap.batched_requests(), 3);
 
-        let mut merged = CacheStats::new();
-        merged.record_coalesced_fetch();
-        merged.record_batched_request();
+        let other = AtomicCacheStats::new();
+        other.record_coalesced_fetch();
+        other.record_batched_requests(1);
+        let mut merged = other.snapshot();
         merged.merge(&snap);
         assert_eq!(merged.coalesced_fetches(), 3);
         assert_eq!(merged.batched_requests(), 4);
@@ -855,10 +786,11 @@ mod tests {
         assert_eq!(snap.lease_contentions(), 1);
         assert_eq!(snap.targeted_invalidations(), 4);
 
-        let mut merged = CacheStats::new();
-        merged.record_lease_grant();
-        merged.record_lease_contention();
-        merged.record_targeted_invalidations(1);
+        let other = AtomicCacheStats::new();
+        other.record_lease_grant();
+        other.record_lease_contention();
+        other.record_targeted_invalidations(1);
+        let mut merged = other.snapshot();
         merged.merge(&snap);
         assert_eq!(merged.lease_grants(), 3);
         assert_eq!(merged.lease_contentions(), 2);
@@ -903,10 +835,11 @@ mod tests {
         assert_eq!(snap.hedge_wins(), 1);
         assert_eq!(snap.hedges_cancelled(), 1);
 
-        let mut merged = CacheStats::new();
-        merged.record_hedged_requests(3);
-        merged.record_hedge_win();
-        merged.record_hedges_cancelled(2);
+        let other = AtomicCacheStats::new();
+        other.record_hedged_requests(3);
+        other.record_hedge_win();
+        other.record_hedges_cancelled(2);
+        let mut merged = other.snapshot();
         merged.merge(&snap);
         assert_eq!(merged.hedged_requests(), 5);
         assert_eq!(merged.hedge_wins(), 2);
@@ -934,11 +867,12 @@ mod tests {
         assert_eq!(snap.tier_demotions(), 3);
         assert_eq!(snap.disk_evictions(), 4);
 
-        let mut merged = CacheStats::new();
-        merged.record_disk_hit();
-        merged.record_tier_promotion();
-        merged.record_tier_demotion();
-        merged.record_disk_evictions(2);
+        let other = AtomicCacheStats::new();
+        other.record_disk_hit();
+        other.record_tier_promotion();
+        other.record_tier_demotion();
+        other.record_disk_evictions(2);
+        let mut merged = other.snapshot();
         merged.merge(&snap);
         assert_eq!(merged.disk_hits(), 3);
         assert_eq!(merged.tier_promotions(), 2);

@@ -204,7 +204,7 @@ impl FixedChunksClient {
         // 2. Backend fetches for the remainder.
         let exclude: Vec<ChunkId> = have.iter().map(|&(i, _)| ChunkId::new(object, i)).collect();
         let order = regions_by_latency(&self.backend, self.region);
-        let plan = plan_backend_fetch(&self.backend, self.region, object, &order, &exclude)?;
+        let plan = plan_backend_fetch(&self.backend, object, &order, &exclude)?;
         let mut worst = Duration::ZERO;
         let mut fetched: Vec<(u8, Bytes)> = Vec::with_capacity(plan.len());
         for &(chunk, _) in &plan {
@@ -405,7 +405,7 @@ impl CachingClient for BackendOnlyClient {
         let manifest = self.backend.manifest(object)?;
         let k = manifest.params().data_chunks();
         let order = regions_by_latency(&self.backend, self.region);
-        let plan = plan_backend_fetch(&self.backend, self.region, object, &order, &[])?;
+        let plan = plan_backend_fetch(&self.backend, object, &order, &[])?;
         let total = manifest.params().total_chunks();
         let mut shards: Vec<Option<Bytes>> = vec![None; total];
         let mut worst = Duration::ZERO;

@@ -23,8 +23,11 @@
 //!   partial cache hits, off-critical-path cache fill;
 //! - [`baselines`] (§V-A) — the LRU-c / LFU-c / Backend clients the
 //!   paper compares against;
-//! - [`coherence`] (§VI) — the write-support extension the paper
-//!   sketches as future work;
+//! - writes (§VI, the paper's future work): [`AgarNode::write`]
+//!   invalidates the local cache, and every cached chunk carries the
+//!   object version it was encoded from, so a read treats stale chunks
+//!   as misses. Cross-node invalidation is `agar-cluster`'s
+//!   lease-based `ClusterRouter::write`;
 //! - [`fetcher`] — the pluggable backend-fetch strategy: per-chunk
 //!   direct fetches by default, swapped for the `agar-cluster`
 //!   coordinator (single-flight coalescing + region-batched round
@@ -79,11 +82,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod approx_monitor;
 pub mod baselines;
 pub mod breaker;
 pub mod cache_manager;
-pub mod coherence;
 pub mod config;
 pub mod error;
 pub mod events;
@@ -96,11 +97,9 @@ pub mod planner;
 pub mod region_manager;
 pub mod retry;
 
-pub use approx_monitor::ApproxRequestMonitor;
 pub use baselines::{BackendOnlyClient, BaselinePolicy, FixedChunksClient};
 pub use breaker::{BreakerPolicy, CircuitBreaker};
 pub use cache_manager::CacheManager;
-pub use coherence::WriteCoordinator;
 pub use config::CacheConfiguration;
 pub use error::AgarError;
 pub use events::CacheEventSink;

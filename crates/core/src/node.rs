@@ -147,8 +147,8 @@ pub struct AgarSettings {
     pub cache_shards: usize,
     /// Maximum speculative hedge fetches (Δ) per read: race k+Δ
     /// distinct chunks and bind the first k arrivals. `0` (the
-    /// default) disables hedging and keeps reads byte-identical to the
-    /// unhedged engine.
+    /// default) disables hedging: a read fetches exactly the k chunks
+    /// its plan needs, and `hedge_z` has no effect.
     pub max_hedges: usize,
     /// Dispersion multiplier for hedge admission: a spare chunk is
     /// hedged only while its latency estimate stays within `hedge_z`
@@ -536,10 +536,10 @@ impl AgarNode {
     }
 
     /// Writes an object through the backend and invalidates the local
-    /// cache (see `coherence` for cross-region invalidation). Under a
-    /// cluster, the installed [`CacheEventSink`] is told about the
-    /// write so the holder registry stays current even for writes
-    /// that bypass the router.
+    /// cache (`agar_cluster::ClusterRouter::write` invalidates the
+    /// other members' caches). Under a cluster, the installed
+    /// [`CacheEventSink`] is told about the write so the holder
+    /// registry stays current even for writes that bypass the router.
     ///
     /// # Errors
     ///
@@ -788,8 +788,8 @@ impl AgarNode {
         // pluggable fetcher in plan order (per-chunk direct calls by
         // default; the cluster coordinator coalesces and batches). A
         // fetch hitting a freshly failed region penalises it in the
-        // region manager and re-plans (up to 3 attempts), exactly like
-        // the pre-refactor retry loop.
+        // region manager; when the surviving arrivals cannot cover the
+        // read, it re-plans as far as the retry policy allows.
         let fetcher = Arc::clone(&self.fetcher.read());
         let mut rng = self.derive_rng();
         let mut shards: Vec<Option<Bytes>> = vec![None; total];
@@ -854,7 +854,6 @@ impl AgarNode {
             let mut worst = Duration::ZERO;
             let mut remote_hits = 0;
             let mut disk_hits = 0;
-            let mut backend_fetches = 0;
             let mut requests: Vec<FetchRequest> = Vec::new();
             for (index, source) in plan.sources {
                 match source {
@@ -879,51 +878,19 @@ impl AgarNode {
                     }
                 }
             }
-            if hedges == 0 {
-                for (request, result) in fetcher.fetch(self.region, &requests, &mut rng) {
-                    match result {
-                        Ok(fetch) => {
-                            self.region_manager
-                                .lock()
-                                .observe(request.region, fetch.latency);
-                            self.breaker.record_success(request.region);
-                            if fetch.version != version {
-                                // A write landed mid-read; mixing
-                                // versions would decode garbage.
-                                return Ok(None);
-                            }
-                            backend_fetches += 1;
-                            worst = worst.max(fetch.latency);
-                            shards[request.chunk.index().value() as usize] = Some(fetch.data);
-                        }
-                        Err(StoreError::RegionUnavailable { region }) => {
-                            self.region_manager.lock().mark_unreachable(region);
-                            self.breaker.record_failure(
-                                region,
-                                self.sim_now_micros.load(Ordering::Relaxed),
-                            );
-                            if self.charge_retry(attempts, &mut backoff) {
-                                continue 'replan; // re-plan around the failure
-                            }
-                            return Err(StoreError::RegionUnavailable { region }.into());
-                        }
-                        Err(other) => return Err(other.into()),
-                    }
-                }
-                break (worst, remote_hits, disk_hits, backend_fetches);
-            }
-
-            // Hedged execute: the request list carries the plan's
-            // backend primaries first and its `hedges` spares last.
-            // Race them all, *late-bind* the first `needed` successful
-            // arrivals (smallest latencies) into the decode and discard
-            // the stragglers — their payloads never reach `shards`, so
-            // a straggler can neither mix versions into the decode nor
-            // displace a bound chunk.
+            // Execute: the request list carries the plan's backend
+            // primaries first and its `hedges` spares last (none at
+            // Δ = 0). Race them all, *late-bind* the first `needed`
+            // successful arrivals (smallest latencies) into the decode
+            // and discard the stragglers — their payloads never reach
+            // `shards`, so a straggler can neither mix versions into the
+            // decode nor displace a bound chunk.
             let needed = requests.len() - hedges;
-            self.cache.record_hedged_requests(hedges as u64);
-            if let Some(builder) = trace.as_deref_mut() {
-                builder.outcome.hedges_issued += hedges as u32;
+            if hedges > 0 {
+                self.cache.record_hedged_requests(hedges as u64);
+                if let Some(builder) = trace.as_deref_mut() {
+                    builder.outcome.hedges_issued += hedges as u32;
+                }
             }
             let mut arrivals: Vec<(usize, Duration, FetchRequest, Bytes)> = Vec::new();
             let mut failed_region = None;
@@ -942,13 +909,15 @@ impl AgarNode {
                             .observe(request.region, fetch.latency);
                         self.breaker.record_success(request.region);
                         if fetch.version != version {
+                            // A write landed mid-read; mixing
+                            // versions would decode garbage.
                             return Ok(None);
                         }
                         arrivals.push((position, fetch.latency, request, fetch.data));
                     }
                     Err(StoreError::RegionUnavailable { region }) => {
-                        // A dead hedge region must not fail the read:
-                        // replan only if the survivors cannot cover k.
+                        // A dead region fails the read only if the
+                        // survivors cannot cover k: then replan.
                         self.region_manager.lock().mark_unreachable(region);
                         self.breaker
                             .record_failure(region, self.sim_now_micros.load(Ordering::Relaxed));
@@ -966,7 +935,7 @@ impl AgarNode {
             }
             // All successful fetches are issued backend work, bound or
             // not (the (1+Δ/k)× round-trip budget counts them all).
-            backend_fetches = arrivals.len();
+            let backend_fetches = arrivals.len();
             // First-k binding: sort by arrival time, position breaking
             // ties in favour of primaries (stable, deterministic).
             arrivals.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -1498,10 +1467,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_hedges_is_byte_identical_to_the_unhedged_engine() {
-        // Two fresh nodes, same seed: one built before hedging existed
-        // (defaults) and one with hedging explicitly disabled must
-        // produce identical latency sequences and identical stats.
+    fn hedge_z_is_inert_at_zero_hedges() {
+        // Two fresh nodes, same seed, both at Δ = 0: the default
+        // hedge_z and a different one must produce identical latency
+        // sequences and identical stats, with no hedge ever issued.
         let run = |settings: AgarSettings| {
             let backend = test_backend(4, 900);
             let node = AgarNode::new(FRANKFURT, backend, settings, 7).unwrap();
@@ -1517,13 +1486,14 @@ mod tests {
             }
             (latencies, node.cache_stats())
         };
-        let (default_latencies, default_stats) = run(AgarSettings::paper_default(1_800));
-        let mut disabled = AgarSettings::paper_default(1_800);
-        disabled.max_hedges = 0;
-        disabled.hedge_z = 1.0;
-        let (disabled_latencies, disabled_stats) = run(disabled);
-        assert_eq!(default_latencies, disabled_latencies);
-        assert_eq!(default_stats, disabled_stats);
+        let defaults = AgarSettings::paper_default(1_800);
+        assert_eq!(defaults.max_hedges, 0);
+        let (default_latencies, default_stats) = run(defaults.clone());
+        let mut other_z = defaults;
+        other_z.hedge_z = 1.0;
+        let (other_latencies, other_stats) = run(other_z);
+        assert_eq!(default_latencies, other_latencies);
+        assert_eq!(default_stats, other_stats);
         assert_eq!(default_stats.hedged_requests(), 0);
     }
 

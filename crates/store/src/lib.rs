@@ -11,15 +11,17 @@
 //! - [`Backend`] — the multi-region store: encode-and-place writes,
 //!   latency-sampled chunk fetches (single or region-batched, one
 //!   priced round trip per region), region failure injection;
-//! - [`StorageClient`] — the paper's cache-less "Backend" baseline
-//!   reader (fetch the `k` cheapest chunks in parallel, decode).
+//! - [`plan_backend_fetch`] / [`plan_backend_fetch_with_estimates`] —
+//!   which `k` chunks a read fetches, and from which regions. The
+//!   cache-less "Backend" baseline reader built on them is
+//!   `agar::BackendOnlyClient`.
 //!
 //! # Examples
 //!
 //! ```
 //! use agar_ec::{CodingParams, ObjectId};
-//! use agar_net::presets::{aws_six_regions, FRANKFURT};
-//! use agar_store::{populate, Backend, RoundRobin, StorageClient};
+//! use agar_net::presets::{aws_six_regions, FRANKFURT, SYDNEY};
+//! use agar_store::{plan_backend_fetch, populate, regions_by_latency, Backend, RoundRobin};
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //! use std::sync::Arc;
@@ -34,9 +36,12 @@
 //! let mut rng = StdRng::seed_from_u64(0);
 //! populate(&backend, 10, 9_000, &mut rng)?;
 //!
-//! let mut client = StorageClient::new(FRANKFURT, 42);
-//! let outcome = client.read(&backend, ObjectId::new(3))?;
-//! assert_eq!(outcome.data.len(), 9_000);
+//! // A read from Frankfurt fetches the k = 9 nearest chunks and skips
+//! // the m = 3 furthest, which are Sydney's and one of Tokyo's.
+//! let order = regions_by_latency(&backend, FRANKFURT);
+//! let plan = plan_backend_fetch(&backend, ObjectId::new(3), &order, &[])?;
+//! assert_eq!(plan.len(), 9);
+//! assert!(plan.iter().all(|&(_, region)| region != SYDNEY));
 //! # Ok::<(), agar_store::StoreError>(())
 //! ```
 
@@ -45,17 +50,16 @@
 
 pub mod backend;
 pub mod bucket;
-pub mod client;
 pub mod error;
 pub mod manifest;
 pub mod placement;
+pub mod plan;
 
 pub use backend::{expected_payload, populate, Backend, BatchFetchOutcome, ChunkFetch};
 pub use bucket::{Bucket, StoredChunk};
-pub use client::{
-    plan_backend_fetch, plan_backend_fetch_with_estimates, regions_by_latency, ChunkCandidate,
-    ReadOutcome, StorageClient,
-};
 pub use error::StoreError;
 pub use manifest::ObjectManifest;
 pub use placement::{PlacementPolicy, RotatedRoundRobin, RoundRobin};
+pub use plan::{
+    plan_backend_fetch, plan_backend_fetch_with_estimates, regions_by_latency, ChunkCandidate,
+};

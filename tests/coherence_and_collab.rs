@@ -1,10 +1,9 @@
 //! Integration tests for the §VI extensions: write coherence across
-//! regions and cache collaboration between neighbours — the latter now
-//! served by the ring-routed `ClusterRouter` (one inter-node lookup
-//! story for the collab pattern and the cluster tier alike; the old
-//! `CollaborativeGroup` linear scan is gone).
+//! regions and cache collaboration between neighbours — both served by
+//! the ring-routed `ClusterRouter` (its lease write path invalidates
+//! the registered holders; its sibling probes find warm neighbours).
 
-use agar::{AgarNode, AgarSettings, CachingClient, WriteCoordinator};
+use agar::{AgarNode, AgarSettings, CachingClient};
 use agar_cluster::{ClusterRouter, ClusterSettings};
 use agar_ec::{CodingParams, ObjectId};
 use agar_net::presets::{aws_six_regions, DUBLIN, FRANKFURT, SYDNEY};
@@ -77,14 +76,26 @@ fn warm(node: &AgarNode, object: ObjectId) {
 fn writes_propagate_through_all_region_caches() {
     let (backend, nodes) = deployment();
     let object = ObjectId::new(0);
+    // Join before warming, so every fill lands in the holder registry.
+    let (router, ids) = collab_router(&backend, &nodes);
     for node in &nodes {
         warm(node, object);
     }
-    let coordinator = WriteCoordinator::new(Arc::clone(&backend), nodes.clone(), 5);
+    let holders = router.lease_manager().holders_of(object);
+    assert_eq!(holders, ids, "every warmed region holds the object");
     let payload = vec![0xCDu8; SIZE];
-    let (version, _) = coordinator.write(DUBLIN, object, &payload).unwrap();
-    assert_eq!(version, 2);
+    let write = router.write(object, &payload).unwrap();
+    assert_eq!(write.version, 2);
+    // Targeted invalidation reaches every holder but the writing home,
+    // which dropped its own copy as part of the write.
+    let others = holders.iter().filter(|&&id| id != write.home).count();
+    assert_eq!(write.invalidations, others as u64);
     for node in &nodes {
+        assert!(
+            !node.cache_contents().contains_key(&object),
+            "{} still caches the old version",
+            node.region()
+        );
         let metrics = node.read(object).unwrap();
         assert_eq!(
             metrics.data.as_ref(),
@@ -98,14 +109,14 @@ fn writes_propagate_through_all_region_caches() {
 #[test]
 fn repeated_writes_keep_monotonic_versions() {
     let (backend, nodes) = deployment();
-    let coordinator = WriteCoordinator::new(backend, nodes, 6);
+    let (router, _) = collab_router(&backend, &nodes);
     let object = ObjectId::new(3);
     for round in 2..6u64 {
         let payload = vec![round as u8; SIZE];
-        let (version, _) = coordinator.write(FRANKFURT, object, &payload).unwrap();
-        assert_eq!(version, round);
+        let write = router.write(object, &payload).unwrap();
+        assert_eq!(write.version, round);
     }
-    assert_eq!(coordinator.writes(), 4);
+    assert_eq!(router.lease_manager().stats().lease_grants(), 4);
 }
 
 #[test]
