@@ -6,6 +6,7 @@
 //! accounted in *bytes* (the paper sizes caches in MB: "10 MB — which
 //! fits ten full objects, 9 chunks each").
 
+use crate::hash::MixState;
 use crate::policy::EvictionPolicy;
 use crate::stats::CacheStats;
 use bytes::Bytes;
@@ -48,6 +49,11 @@ impl CachedChunk {
     /// The chunk payload.
     pub fn data(&self) -> &Bytes {
         &self.data
+    }
+
+    /// Consumes the chunk, returning its payload.
+    pub fn into_data(self) -> Bytes {
+        self.data
     }
 
     /// The object version this chunk was encoded from.
@@ -121,7 +127,7 @@ impl<K, V> InsertOutcome<K, V> {
 /// ```
 #[derive(Debug)]
 pub struct Cache<K, V, P> {
-    entries: HashMap<K, V>,
+    entries: HashMap<K, V, MixState>,
     policy: P,
     capacity: usize,
     used: usize,
@@ -137,7 +143,7 @@ where
     /// Creates a cache bounded to `capacity` bytes.
     pub fn with_capacity(capacity: usize, policy: P) -> Self {
         Cache {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             policy,
             capacity,
             used: 0,
@@ -147,14 +153,14 @@ where
 
     /// Reads an entry, updating recency metadata and hit/miss counters.
     pub fn get(&mut self, key: &K) -> Option<&V> {
-        if self.entries.contains_key(key) {
+        let found = self.entries.get(key);
+        if found.is_some() {
             self.stats.record_chunk_hit();
             self.policy.on_access(key);
-            self.entries.get(key)
         } else {
             self.stats.record_chunk_miss();
-            None
         }
+        found
     }
 
     /// Reads an entry without touching recency metadata or counters.

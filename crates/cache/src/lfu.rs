@@ -5,6 +5,7 @@
 //! tie-break (the hybrid the WLFU literature recommends and what the
 //! paper's LFU baseline needs). All operations are `O(log n)`.
 
+use crate::hash::MixState;
 use crate::policy::EvictionPolicy;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
@@ -16,7 +17,7 @@ pub struct Lfu<K> {
     seq: u64,
     /// Ordered by (frequency, recency sequence): first = coldest.
     by_rank: BTreeMap<(u64, u64), K>,
-    by_key: HashMap<K, (u64, u64)>,
+    by_key: HashMap<K, (u64, u64), MixState>,
 }
 
 impl<K: Eq + Hash + Clone> Lfu<K> {
@@ -25,7 +26,7 @@ impl<K: Eq + Hash + Clone> Lfu<K> {
         Lfu {
             seq: 0,
             by_rank: BTreeMap::new(),
-            by_key: HashMap::new(),
+            by_key: HashMap::default(),
         }
     }
 

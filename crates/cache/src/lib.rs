@@ -39,6 +39,7 @@
 
 pub mod cache;
 pub mod disk;
+mod hash;
 pub mod lfu;
 pub mod lru;
 pub mod policy;

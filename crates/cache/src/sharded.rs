@@ -23,6 +23,7 @@
 //! in call order.
 
 use crate::cache::{CachedChunk, InsertOutcome, Weigh};
+use crate::hash::mix;
 use crate::policy::{AnyPolicy, PolicyKind};
 use crate::stats::{AtomicCacheStats, CacheStats};
 use crate::{Cache, ChunkCache};
@@ -84,16 +85,10 @@ impl ShardedChunkCache {
     }
 
     fn shard_index(&self, key: &ChunkId) -> usize {
-        // Deterministic multiply-xor mix of (object id, chunk index);
-        // `HashMap`'s default hasher is randomly keyed per process, which
-        // would break run-to-run reproducibility.
-        let mut h = key
-            .object()
-            .index()
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from(key.index().value()).wrapping_mul(0xA24B_AED4_963E_E407));
-        h ^= h >> 32;
-        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        // Deterministic mix of (object id, chunk index); `HashMap`'s
+        // default hasher is randomly keyed per process, which would
+        // break run-to-run reproducibility.
+        let h = mix(key.object().index(), u64::from(key.index().value()));
         (h >> 33) as usize % self.shards.len()
     }
 
@@ -101,8 +96,7 @@ impl ShardedChunkCache {
     /// the shared hit/miss counters. Returns a clone (cheap: the payload
     /// is reference-counted [`bytes::Bytes`]).
     pub fn get(&self, key: &ChunkId) -> Option<CachedChunk> {
-        let found = self.shards[self.shard_index(key)].lock().get(key).cloned();
-        match found {
+        match self.get_uncounted(key) {
             Some(chunk) => {
                 self.stats.record_chunk_hit();
                 Some(chunk)
@@ -111,6 +105,24 @@ impl ShardedChunkCache {
                 self.stats.record_chunk_miss();
                 None
             }
+        }
+    }
+
+    /// [`ShardedChunkCache::get`] without the shared hit/miss counters:
+    /// a multi-chunk lookup pass counts its outcomes once, through
+    /// [`ShardedChunkCache::record_lookups`].
+    pub(crate) fn get_uncounted(&self, key: &ChunkId) -> Option<CachedChunk> {
+        self.shards[self.shard_index(key)].lock().get(key).cloned()
+    }
+
+    /// Adds one lookup pass's chunk hits and misses to the shared
+    /// counters.
+    pub(crate) fn record_lookups(&self, hits: u64, misses: u64) {
+        if hits > 0 {
+            self.stats.record_chunk_hits(hits);
+        }
+        if misses > 0 {
+            self.stats.record_chunk_misses(misses);
         }
     }
 

