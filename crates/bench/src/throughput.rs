@@ -151,17 +151,8 @@ pub fn run_threads(
     }
 }
 
-/// How many times [`throughput_scaling`] repeats each thread count.
-const SCALING_REPEATS: usize = 5;
-
 /// Runs the thread-count sweep against one warm node and returns one
-/// [`ThroughputRun`] per entry in `thread_counts`: the fastest of 5
-/// runs. Other work on the host (parallel tests,
-/// neighbours) only ever slows a run, and an all-hit read takes a few
-/// microseconds, so a few hundred reads per thread finish in about a
-/// millisecond, short enough for one preemption to halve a single
-/// run's ops/s. The fastest repetition is the least disturbed
-/// estimate of what the node sustains.
+/// [`ThroughputRun`] per entry in `thread_counts`.
 pub fn throughput_scaling(
     deployment: &Deployment,
     region: RegionId,
@@ -173,16 +164,7 @@ pub fn throughput_scaling(
     let node = build_warm_node(deployment, region, 10.0, hot_objects, 0xC0C0);
     thread_counts
         .iter()
-        .map(|&threads| {
-            let mut best = run_threads(&node, threads, ops_per_thread, hot_objects);
-            for _ in 1..SCALING_REPEATS {
-                let run = run_threads(&node, threads, ops_per_thread, hot_objects);
-                if run.ops_per_sec > best.ops_per_sec {
-                    best = run;
-                }
-            }
-            best
-        })
+        .map(|&threads| run_threads(&node, threads, ops_per_thread, hot_objects))
         .collect()
 }
 

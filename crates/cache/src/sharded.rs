@@ -96,7 +96,8 @@ impl ShardedChunkCache {
     /// the shared hit/miss counters. Returns a clone (cheap: the payload
     /// is reference-counted [`bytes::Bytes`]).
     pub fn get(&self, key: &ChunkId) -> Option<CachedChunk> {
-        match self.get_uncounted(key) {
+        let found = self.shards[self.shard_index(key)].lock().get(key).cloned();
+        match found {
             Some(chunk) => {
                 self.stats.record_chunk_hit();
                 Some(chunk)
@@ -105,24 +106,6 @@ impl ShardedChunkCache {
                 self.stats.record_chunk_miss();
                 None
             }
-        }
-    }
-
-    /// [`ShardedChunkCache::get`] without the shared hit/miss counters:
-    /// a multi-chunk lookup pass counts its outcomes once, through
-    /// [`ShardedChunkCache::record_lookups`].
-    pub(crate) fn get_uncounted(&self, key: &ChunkId) -> Option<CachedChunk> {
-        self.shards[self.shard_index(key)].lock().get(key).cloned()
-    }
-
-    /// Adds one lookup pass's chunk hits and misses to the shared
-    /// counters.
-    pub(crate) fn record_lookups(&self, hits: u64, misses: u64) {
-        if hits > 0 {
-            self.stats.record_chunk_hits(hits);
-        }
-        if misses > 0 {
-            self.stats.record_chunk_misses(misses);
         }
     }
 

@@ -389,16 +389,6 @@ impl AtomicCacheStats {
         self.chunk_misses.inc();
     }
 
-    /// Records `n` chunk-level cache hits.
-    pub fn record_chunk_hits(&self, n: u64) {
-        self.chunk_hits.add(n);
-    }
-
-    /// Records `n` chunk-level cache misses.
-    pub fn record_chunk_misses(&self, n: u64) {
-        self.chunk_misses.add(n);
-    }
-
     /// Records one successful insertion.
     pub fn record_insertion(&self) {
         self.insertions.inc();

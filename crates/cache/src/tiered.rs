@@ -118,39 +118,10 @@ impl TieredChunkCache {
     /// tier served it. Records RAM hit/miss plus `disk_hits` /
     /// `tier_promotions` as appropriate.
     pub fn get(&self, key: &ChunkId) -> Option<(CachedChunk, CacheTier)> {
-        let mut found = None;
-        self.get_each([*key], |_, hit| found = hit);
-        found
-    }
-
-    /// [`TieredChunkCache::get`] over several keys in order, handing
-    /// each key's outcome to `visit` (called with no lock held). The
-    /// pass's RAM hits and misses reach the shared counters as one add
-    /// each, not one per key.
-    pub fn get_each(
-        &self,
-        keys: impl IntoIterator<Item = ChunkId>,
-        mut visit: impl FnMut(ChunkId, Option<(CachedChunk, CacheTier)>),
-    ) {
-        let (mut hits, mut misses) = (0, 0);
-        for key in keys {
-            let found = match self.ram.get_uncounted(&key) {
-                Some(chunk) => {
-                    hits += 1;
-                    Some((chunk, CacheTier::Ram))
-                }
-                None => {
-                    misses += 1;
-                    self.rescue(&key).map(|chunk| (chunk, CacheTier::Disk))
-                }
-            };
-            visit(key, found);
+        if let Some(chunk) = self.ram.get(key) {
+            return Some((chunk, CacheTier::Ram));
         }
-        self.ram.record_lookups(hits, misses);
-    }
-
-    /// Serves a RAM miss from the disk tier, promoting the chunk.
-    fn rescue(&self, key: &ChunkId) -> Option<CachedChunk> {
+        // RAM miss already recorded by `ram.get`.
         let disk = self.disk.as_ref()?;
         let chunk = disk.get(key)?;
         self.ram.record_disk_hit();
@@ -162,7 +133,7 @@ impl TieredChunkCache {
             self.ram.record_tier_promotion();
             self.demote(victims);
         }
-        Some(chunk)
+        Some((chunk, CacheTier::Disk))
     }
 
     /// Reads a chunk without promotion, recency updates or hit/miss

@@ -322,6 +322,16 @@ struct ReconfigClock {
     last: Option<SimTime>,
 }
 
+/// Why a read attempt restarted instead of decoding: a fetched chunk's
+/// version differed from the attempt's manifest snapshot.
+#[derive(Clone, Copy, Debug)]
+struct VersionRace {
+    /// The chunk was newer than the manifest: a write was published
+    /// after the attempt read its manifest. Otherwise it was older (a
+    /// torn write left the manifest ahead of its chunks).
+    newer: bool,
+}
+
 /// A per-region Agar deployment.
 ///
 /// Thread-safe behind `&self`. Unlike the pre-refactor node (one
@@ -718,10 +728,14 @@ impl AgarNode {
     /// # Errors
     ///
     /// Propagates backend failures; returns
-    /// [`AgarError::ReadContention`] if three successive attempts each
-    /// raced a concurrent write (a fetched chunk was newer than the
-    /// attempt's manifest snapshot — mixing versions would decode
-    /// garbage, so the read restarts on a fresh manifest instead).
+    /// [`AgarError::ReadContention`] once the retry policy's attempts
+    /// are used up by version races (a fetched chunk's version differs
+    /// from the attempt's manifest snapshot — mixing versions would
+    /// decode garbage, so the read restarts on a fresh manifest
+    /// instead). Only races with a chunk *older* than the manifest (a
+    /// torn write) use up attempts; a race with a newer write restarts
+    /// for free, so a reader retries for as long as writes to the
+    /// object keep landing mid-read.
     pub fn read_with_remote_chunks(
         &self,
         object: ObjectId,
@@ -739,37 +753,46 @@ impl AgarNode {
             .as_ref()
             .and_then(|layer| layer.begin(object, self.region));
         let max_attempts = self.settings.retry.max_attempts.max(1);
-        for attempt in 0..max_attempts {
-            if let Some(metrics) =
-                self.read_attempt(object, remote, attempt == 0, trace.as_mut())?
-            {
-                if let (Some(layer), Some(builder)) = (&self.trace, trace) {
-                    layer.commit(builder);
+        let mut used = 0;
+        let mut first_attempt = true;
+        loop {
+            let race = match self.read_attempt(object, remote, first_attempt, trace.as_mut())? {
+                Ok(metrics) => {
+                    if let (Some(layer), Some(builder)) = (&self.trace, trace) {
+                        layer.commit(builder);
+                    }
+                    return Ok(metrics);
                 }
-                return Ok(metrics);
-            }
+                Err(race) => race,
+            };
+            first_attempt = false;
             // A version race restarts the read on a fresh manifest;
             // the trace spans the whole logical read, races included.
-            // An immediate restart tends to race the same writer's next
-            // write, so a writer issuing writes back to back could use
-            // up every attempt: back off on the host clock first (20 µs,
-            // doubling up to 320 µs). Races need a concurrent writer, so
-            // single-threaded runs never reach this wait, and it never
-            // touches the simulated clock.
-            if attempt + 1 < max_attempts {
-                self.retries.inc();
-                std::thread::sleep(Duration::from_micros(20 << attempt.min(4)));
+            // A chunk newer than the manifest means a write was
+            // published during this attempt (every write installs its
+            // manifest before any of its chunks), so the next attempt
+            // reads a strictly newer manifest. The restart is progress
+            // and uses up no attempt: such restarts are bounded by the
+            // writes that land while the read runs, and back-to-back
+            // writes cannot exhaust the budget. An older chunk (a torn
+            // write) uses one up.
+            if !race.newer {
+                used += 1;
             }
             if let Some(builder) = trace.as_mut() {
                 builder.outcome.version_races += 1;
             }
+            if used >= max_attempts {
+                break;
+            }
+            self.retries.inc();
         }
         Err(AgarError::ReadContention { object })
     }
 
     /// One read attempt against a single manifest snapshot. Returns
-    /// `Ok(None)` when a backend chunk came back with a newer version
-    /// than the snapshot (a concurrent write landed mid-read): the
+    /// `Ok(Err(race))` when a backend chunk came back with another
+    /// version than the snapshot (a concurrent or torn write): the
     /// caller retries with a fresh manifest. `first_attempt` gates the
     /// chunk-level statistics so retries never double-count one
     /// logical read. (Remote offers from an older version are dropped
@@ -780,7 +803,7 @@ impl AgarNode {
         remote: &[RemoteChunk],
         first_attempt: bool,
         mut trace: Option<&mut ReadTraceBuilder>,
-    ) -> Result<Option<CollabReadMetrics>, AgarError> {
+    ) -> Result<Result<CollabReadMetrics, VersionRace>, AgarError> {
         let manifest = self.backend.manifest(object)?;
         let k = manifest.params().data_chunks();
         let total = manifest.params().total_chunks();
@@ -791,7 +814,7 @@ impl AgarNode {
         // Stage 1: hinted-chunk lookups in the tiered cache (per-shard
         // locks; a disk rescue promotes; stale versions dropped from
         // both tiers).
-        let mut hits = planner.lookup_local(&self.cache, first_attempt);
+        let hits = planner.lookup_local(&self.cache, first_attempt);
         let ram_hits = hits.ram.len();
         let ram_held: ChunkSet = hits.ram.iter().map(|&(index, _)| index).collect();
 
@@ -833,15 +856,8 @@ impl AgarNode {
                 deviations: &deviations,
                 excluded: &excluded,
             };
-            // RAM hits covering k leave nothing to fetch, so no re-plan
-            // can follow and the plan may consume them.
-            let attempt_hits = if ram_hits >= k {
-                std::mem::take(&mut hits)
-            } else {
-                hits.clone()
-            };
             let plan = match planner.plan_hedged(
-                attempt_hits,
+                hits.clone(),
                 remote,
                 &self.backend,
                 &estimates,
@@ -937,7 +953,9 @@ impl AgarNode {
                         if fetch.version != version {
                             // A write landed mid-read; mixing
                             // versions would decode garbage.
-                            return Ok(None);
+                            return Ok(Err(VersionRace {
+                                newer: fetch.version > version,
+                            }));
                         }
                         arrivals.push((position, fetch.latency, request, fetch.data));
                     }
@@ -1134,7 +1152,7 @@ impl AgarNode {
         // Stage 7: object-level hit accounting (Figure 7), lock-free.
         self.cache.record_object_read(cache_hits, k);
 
-        Ok(Some(CollabReadMetrics {
+        Ok(Ok(CollabReadMetrics {
             metrics: ReadMetrics {
                 data,
                 latency,
@@ -1750,6 +1768,64 @@ mod tests {
             expected.sort();
             assert_eq!(cached, expected, "{what}: the cache holds the hints");
         }
+    }
+
+    /// Rewrites the object before each of its first `races` fetch
+    /// calls, so each of those read attempts meets chunks one version
+    /// newer than its manifest.
+    struct RewritingFetcher {
+        backend: Arc<Backend>,
+        direct: DirectFetcher,
+        races: AtomicU64,
+    }
+
+    impl ChunkFetcher for RewritingFetcher {
+        fn fetch(
+            &self,
+            client_region: RegionId,
+            requests: &[FetchRequest],
+            rng: &mut dyn rand::RngCore,
+        ) -> Vec<(FetchRequest, Result<agar_store::ChunkFetch, StoreError>)> {
+            let left = self.races.load(Ordering::Relaxed);
+            if left > 0 {
+                self.races.store(left - 1, Ordering::Relaxed);
+                let object = requests[0].chunk.object();
+                self.backend
+                    .put_object(FRANKFURT, object, &[left as u8; 900], rng)
+                    .unwrap();
+            }
+            self.direct.fetch(client_region, requests, rng)
+        }
+    }
+
+    /// A race with a newer write restarts the read without using up
+    /// an attempt, so more back-to-back writes than the policy has
+    /// attempts cannot fail a read; a torn write (chunks older than
+    /// the manifest) still uses one up per restart.
+    #[test]
+    fn only_torn_writes_use_up_read_attempts() {
+        let backend = test_backend(1, 900);
+        let node = test_node(Arc::clone(&backend), 100);
+        let object = ObjectId::new(0);
+        let races = 2 * u64::from(node.settings().retry.max_attempts);
+        node.set_chunk_fetcher(Arc::new(RewritingFetcher {
+            backend: Arc::clone(&backend),
+            direct: DirectFetcher::new(Arc::clone(&backend)),
+            races: AtomicU64::new(races),
+        }));
+        let read = node.read(object).unwrap();
+        assert_eq!(read.data.as_ref(), [1u8; 900].as_slice(), "the last write");
+        assert_eq!(node.retries(), races, "one free restart per write");
+
+        backend
+            .put_object_interrupted(object, &[0xAB; 900], 4)
+            .unwrap();
+        assert!(matches!(
+            node.read(object),
+            Err(AgarError::ReadContention { .. })
+        ));
+        let attempts = u64::from(node.settings().retry.max_attempts);
+        assert_eq!(node.retries(), races + attempts - 1);
     }
 
     /// Settings for a tiered node: RAM fits one object, disk fits

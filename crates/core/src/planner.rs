@@ -17,7 +17,7 @@
 
 use crate::config::CacheConfiguration;
 use crate::error::AgarError;
-use agar_cache::{CacheTier, CachedChunk, TieredChunkCache};
+use agar_cache::{CacheTier, TieredChunkCache};
 use agar_ec::ChunkId;
 use agar_net::RegionId;
 use agar_store::{plan_backend_fetch_with_estimates, Backend, ObjectManifest, StoreError};
@@ -205,28 +205,25 @@ impl<'a> ReadPlanner<'a> {
     pub fn lookup_local(&self, cache: &TieredChunkCache, record_stats: bool) -> LocalHits {
         let object = self.manifest.object();
         let version = self.manifest.version();
-        let ids = self
-            .hinted()
-            .iter()
-            .map(|&index| ChunkId::new(object, index));
+        let hinted = self.hinted();
         let mut have = LocalHits::default();
-        let mut keep = |id: ChunkId, found: Option<(CachedChunk, CacheTier)>| match found {
-            Some((chunk, tier)) if chunk.version() == version => {
-                let hit = (id.index().value(), chunk.into_data());
-                match tier {
-                    CacheTier::Ram => have.ram.push(hit),
-                    CacheTier::Disk => have.disk.push(hit),
+        for &index in hinted {
+            let id = ChunkId::new(object, index);
+            let found = if record_stats {
+                cache.get(&id)
+            } else {
+                cache.peek(&id)
+            };
+            match found {
+                Some((chunk, tier)) if chunk.version() == version => match tier {
+                    CacheTier::Ram => have.ram.push((index, chunk.into_data())),
+                    CacheTier::Disk => have.disk.push((index, chunk.into_data())),
+                },
+                Some(_) => {
+                    cache.remove(&id);
                 }
+                None => {}
             }
-            Some(_) => {
-                cache.remove(&id);
-            }
-            None => {}
-        };
-        if record_stats {
-            cache.get_each(ids, keep);
-        } else {
-            ids.for_each(|id| keep(id, cache.peek(&id)));
         }
         have
     }

@@ -18,8 +18,10 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts per read (re-plans after region failures and
-    /// restarts after version races both count). Must be ≥ 1; the
-    /// historical loop used 3.
+    /// restarts after version races both count, except a race with a
+    /// chunk newer than the read's manifest: that restart follows a
+    /// completed write and is free). Must be ≥ 1; the historical loop
+    /// used 3.
     pub max_attempts: u32,
     /// Backoff charged before the first retry; doubles per retry.
     /// `Duration::ZERO` (the default) charges nothing.
