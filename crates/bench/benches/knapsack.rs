@@ -1,6 +1,6 @@
-//! Cache-manager algorithm runtime — the paper's §VI claims: ~5 ms per
-//! reconfiguration, complexity O(C²) in the cache size (not the dataset
-//! size) once early termination is enabled.
+//! Cache-manager algorithm runtime. The paper's §VI budget is ~5 ms per
+//! reconfiguration; the exact solver runs in O(C · Σ options), linear in
+//! both the cache size C and the number of tracked objects.
 
 use agar::{generate_options, greedy, KnapsackSolver, ObjectOptions};
 use agar_ec::{CodingParams, ObjectId};
@@ -54,18 +54,10 @@ fn bench_populate_vs_catalogue(c: &mut Criterion) {
     group.sample_size(10);
     for objects in [100u64, 300, 1000] {
         let all = options(objects);
-        // §VI: with early termination, runtime depends on the cache
-        // size, not the catalogue size.
-        group.bench_with_input(
-            BenchmarkId::new("early_termination", objects),
-            &objects,
-            |b, _| {
-                let solver = KnapsackSolver::new()
-                    .with_early_termination(5)
-                    .with_passes(1);
-                b.iter(|| solver.populate(black_box(&all), 90))
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(objects), &objects, |b, _| {
+            let solver = KnapsackSolver::new();
+            b.iter(|| solver.populate(black_box(&all), 90))
+        });
     }
     group.finish();
 }

@@ -2,7 +2,7 @@
 //! (§II-C and §V), one function per artefact.
 //!
 //! Absolute milliseconds depend on the calibrated latency matrix
-//! (DESIGN.md §1); what these experiments are expected to reproduce is
+//! (`agar_net::presets::aws_six_regions`); what these experiments are expected to reproduce is
 //! the paper's *shapes*: who wins, by roughly what factor, and where the
 //! crossovers fall. EXPERIMENTS.md records paper-vs-measured values.
 
@@ -397,14 +397,14 @@ pub fn fig10(deployment: &Deployment, params: &ExperimentParams) -> Table {
     table
 }
 
-/// Ablation — the §II-D claim: the dynamic program vs the greedy
-/// heuristic vs early-terminated DP, end to end (mean latency at
-/// Frankfurt) and solver-value on the same live statistics.
+/// Ablation — the §II-D claim: the exact solver vs the greedy
+/// heuristic, end to end (mean latency at Frankfurt) and solver value
+/// on the same live statistics.
 pub fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
     use agar::{greedy, CachingClient, KnapsackSolver};
 
     let mut table = Table::new(
-        "Ablation — knapsack solver variants (Frankfurt, Zipf 1.1, 10 MB)",
+        "Ablation — exact knapsack vs greedy (Frankfurt, Zipf 1.1, 10 MB)",
         vec![
             "variant".into(),
             "mean latency (ms)".into(),
@@ -412,10 +412,10 @@ pub fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
         ],
     );
 
-    // End-to-end latency is the same harness run; the solver variants
-    // differ only inside the cache manager, so compare their *planned
-    // values* on statistics captured from a live Agar node, plus the
-    // DP's end-to-end latency as the reference row.
+    // End-to-end latency is the same harness run; the solvers differ
+    // only inside the cache manager, so compare their *planned values*
+    // on statistics captured from a live Agar node, plus the exact
+    // solver's end-to-end latency as the reference row.
     let config = RunConfig {
         client_region: FRANKFURT,
         policy: PolicySpec::Agar,
@@ -425,7 +425,7 @@ pub fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
         max_hedges: 0,
         seed: 0xAB1A,
     };
-    let dp_run = run_averaged(deployment, &config, params.runs);
+    let exact_run = run_averaged(deployment, &config, params.runs);
 
     // Re-derive the option sets the node would have seen: popularity
     // from a workload pass, estimates from a warmed region manager.
@@ -455,31 +455,13 @@ pub fn ablation(deployment: &Deployment, params: &ExperimentParams) -> Table {
     );
     let capacity = (deployment.scale.cache_bytes(10.0) / deployment.scale.chunk_size()) as u32;
 
-    let dp_value = KnapsackSolver::new().populate(&options, capacity).value();
-    let single_pass = KnapsackSolver::new()
-        .with_passes(1)
-        .populate(&options, capacity)
-        .value();
-    let early = KnapsackSolver::new()
-        .with_early_termination(5)
-        .populate(&options, capacity)
-        .value();
+    let exact_value = KnapsackSolver::new().populate(&options, capacity).value();
     let greedy_value = greedy(&options, capacity).value();
 
     table.push_row(vec![
-        "DP (2 passes)".into(),
-        format!("{:.0}", dp_run.mean_latency_ms),
-        format!("{dp_value:.0}"),
-    ]);
-    table.push_row(vec![
-        "DP (1 pass, paper literal)".into(),
-        "-".into(),
-        format!("{single_pass:.0}"),
-    ]);
-    table.push_row(vec![
-        "DP (early termination)".into(),
-        "-".into(),
-        format!("{early:.0}"),
+        "Exact (multiple-choice DP)".into(),
+        format!("{:.0}", exact_run.mean_latency_ms),
+        format!("{exact_value:.0}"),
     ]);
     table.push_row(vec![
         "Greedy (density)".into(),

@@ -294,17 +294,6 @@ fn make_client(
             settings.cache_read = preset.cache_read;
             settings.client_overhead = preset.client_overhead;
             settings.max_hedges = config.max_hedges;
-            // §VI: the paper stops the dynamic program a fixed number of
-            // iterations after a full-capacity configuration first
-            // appears, so reconfiguration cost depends on the cache
-            // size, not the catalogue. Enable it for large caches where
-            // the exact run would dominate the experiment.
-            let capacity_chunks = cache_bytes / deployment.scale.chunk_size().max(1);
-            if capacity_chunks >= 200 {
-                settings.solver = agar::KnapsackSolver::new()
-                    .with_early_termination(30)
-                    .with_passes(1);
-            }
             Arc::new(
                 AgarNode::new(
                     config.client_region,

@@ -192,13 +192,6 @@ pub fn tail_run_with(
     // chrome://tracing dump both come from this. Sampling is a
     // deterministic counter, so it never perturbs the engine.
     settings.trace_sample_every = 1;
-    let capacity_chunks =
-        deployment.scale.cache_bytes(params.cache_mb) / deployment.scale.chunk_size().max(1);
-    if capacity_chunks >= 200 {
-        settings.solver = agar::KnapsackSolver::new()
-            .with_early_termination(30)
-            .with_passes(1);
-    }
     let node = Arc::new(
         AgarNode::new(
             preset.region("Frankfurt"),

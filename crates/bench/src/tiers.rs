@@ -215,15 +215,6 @@ pub fn tiers_run_with(
     // measured window's traces. Sampling is a deterministic counter,
     // so it never perturbs the engine.
     settings.trace_sample_every = 1;
-    // Same large-capacity guard as the main harness: with the catalogue
-    // (or a sizeable slice of it) as the budget, the exact DP would
-    // dominate the experiment's wall clock.
-    let capacity_chunks = ram_bytes.max(settings.disk_capacity_bytes) / scale.chunk_size().max(1);
-    if capacity_chunks >= 200 {
-        settings.solver = agar::KnapsackSolver::new()
-            .with_early_termination(30)
-            .with_passes(1);
-    }
     let node = Arc::new(
         AgarNode::new(
             preset.region("Frankfurt"),

@@ -17,12 +17,12 @@ use std::time::Duration;
 /// Weights are counted in chunks: the paper's catalogue is homogeneous
 /// (300 × 1 MB objects), so capacity in bytes divides evenly by the
 /// chunk size of the first known object. Heterogeneous object sizes
-/// would need byte-granular weights; see DESIGN.md.
+/// would need byte-granular weights: the knapsack's budget would be
+/// bytes rather than chunks.
 #[derive(Clone, Debug)]
 pub struct CacheManager {
     capacity_bytes: usize,
     disk_capacity_bytes: usize,
-    solver: KnapsackSolver,
 }
 
 impl CacheManager {
@@ -32,16 +32,7 @@ impl CacheManager {
         CacheManager {
             capacity_bytes,
             disk_capacity_bytes: 0,
-            solver: KnapsackSolver::new(),
         }
-    }
-
-    /// Overrides the Knapsack solver (e.g. to enable §VI early
-    /// termination).
-    #[must_use]
-    pub fn with_solver(mut self, solver: KnapsackSolver) -> Self {
-        self.solver = solver;
-        self
     }
 
     /// Attaches a disk-tier budget of `bytes` (0 disables the disk
@@ -111,7 +102,7 @@ impl CacheManager {
             return CacheConfiguration::empty();
         }
         let capacity_chunks = (self.capacity_bytes / chunk_size) as u32;
-        let solved = self.solver.populate(&all_options, capacity_chunks);
+        let solved = KnapsackSolver::new().populate(&all_options, capacity_chunks);
         CacheConfiguration::from_knapsack(&solved, epoch)
     }
 
@@ -146,27 +137,30 @@ impl CacheManager {
         let capacity_chunks = (self.capacity_bytes / chunk_size) as u32;
         let disk_chunks = (self.disk_capacity_bytes / chunk_size) as u32;
         let estimates = region_manager.estimates();
-        let tiered =
-            self.solver
-                .populate_tiered(&all_options, capacity_chunks, disk_chunks, |ram| {
-                    let mut disk_options = HashMap::new();
-                    for (object, popularity) in monitor.popularities() {
-                        let Ok(manifest) = backend.manifest(object) else {
-                            continue;
-                        };
-                        let ram_chunks = ram
-                            .options()
-                            .iter()
-                            .find(|o| o.object() == object)
-                            .map_or(&[][..], |o| o.chunks());
-                        if let Some(options) = generate_disk_options(
-                            &manifest, estimates, cache_read, disk_read, ram_chunks, popularity,
-                        ) {
-                            disk_options.insert(object, options);
-                        }
+        let tiered = KnapsackSolver::new().populate_tiered(
+            &all_options,
+            capacity_chunks,
+            disk_chunks,
+            |ram| {
+                let mut disk_options = HashMap::new();
+                for (object, popularity) in monitor.popularities() {
+                    let Ok(manifest) = backend.manifest(object) else {
+                        continue;
+                    };
+                    let ram_chunks = ram
+                        .options()
+                        .iter()
+                        .find(|o| o.object() == object)
+                        .map_or(&[][..], |o| o.chunks());
+                    if let Some(options) = generate_disk_options(
+                        &manifest, estimates, cache_read, disk_read, ram_chunks, popularity,
+                    ) {
+                        disk_options.insert(object, options);
                     }
-                    disk_options
-                });
+                }
+                disk_options
+            },
+        );
         CacheConfiguration::from_tiered(tiered.ram(), tiered.disk(), epoch)
     }
 }

@@ -1,35 +1,29 @@
-//! The cache-configuration Knapsack solver (the paper's §IV-B,
-//! Figures 4 & 5).
+//! The cache-configuration Knapsack solver (the paper's §IV-B).
 //!
-//! Choosing which erasure-coded chunks to cache is a 0/1-Knapsack
-//! variant: at most one caching option per object, weights are chunk
-//! counts, values are popularity-weighted latency improvements. The
-//! paper adapts the classic dynamic program with two improvement moves:
+//! Choosing which erasure-coded chunks to cache is a knapsack with one
+//! extra rule: at most one caching option per object. Weights are chunk
+//! counts and values are popularity-weighted latency improvements. That
+//! is the *multiple-choice knapsack problem*, with one class per object,
+//! and it has an exact pseudo-polynomial dynamic program (Kellerer,
+//! Pferschy and Pisinger, *Knapsack Problems*, 2004, ch. 11):
 //!
-//! - **Addition** — append an option to an existing intermediate
-//!   configuration, producing a heavier configuration;
-//! - **Relaxation** (paper Figure 5) — shrink an option already in the
-//!   configuration to a lower weight of the same object, using the freed
-//!   space for the new option, keeping total weight constant.
+//! ```text
+//! best_g[c] = max(best_{g-1}[c], max over options o of g with w_o <= c
+//!                                of best_{g-1}[c - w_o] + v_o)
+//! ```
 //!
-//! Documented deviations from the paper's pseudocode (see DESIGN.md §2):
-//! weight keys are snapshotted per option (the pseudocode mutates `MaxV`
-//! while iterating it), an option is never added to a configuration that
-//! already caches its object (the pseudocode would double-count), and
-//! the final answer is the best configuration of weight ≤ capacity
-//! rather than exactly capacity.
-//!
-//! The table is index-based: each intermediate configuration holds dense
-//! option ids rather than cloned [`CachingOption`]s, together with an
-//! object-membership bitset and a bound on what any relaxation could
-//! gain, so almost every (option, configuration) visit is decided in
-//! constant time. The moves, their order and their floating-point sums
-//! are exactly those of the paper's table.
+//! [`KnapsackSolver::populate`] runs it in `O(C · Σ options)` time over
+//! one value row of `C + 1` budgets, and records each object's choice
+//! per budget in one byte so the configuration can be read back from
+//! `C`. The paper's
+//! `POPULATE` with its `RELAX` move (Figures 4 and 5) is a heuristic for
+//! the same problem; the tests keep it as a reference and check that the
+//! exact solver never scores below it.
 //!
 //! A greedy value-density solver and an exhaustive optimum are included
 //! as baselines: §II-D argues greedy can err by as much as 50%, and the
-//! tests verify the dynamic program dominates greedy and matches the
-//! optimum on small instances.
+//! tests check the exact solver against the exhaustive optimum on small
+//! instances.
 
 use crate::options::{CachingOption, ObjectOptions};
 use agar_ec::ObjectId;
@@ -78,410 +72,94 @@ impl Config {
     }
 }
 
-/// Dynamic-programming solver for the cache configuration (paper
-/// Figure 4).
-#[derive(Clone, Debug)]
-pub struct KnapsackSolver {
-    /// §VI optimisation: stop after this many additional keys once a
-    /// configuration of full capacity weight first exists. `None` runs
-    /// the dynamic program to completion.
-    stop_keys_after_full: Option<usize>,
-    /// Number of sweeps over the option list. The paper's single-table
-    /// RELAX can destroy a configuration that a later option needed to
-    /// extend; a second sweep recovers most such losses (DESIGN.md
-    /// deviation list). The result remains an approximation, as the
-    /// paper itself acknowledges (§VII-B).
-    passes: usize,
-}
-
-impl Default for KnapsackSolver {
-    fn default() -> Self {
-        KnapsackSolver {
-            stop_keys_after_full: None,
-            passes: 2,
-        }
-    }
-}
+/// The exact solver for the cache configuration. It has no settings:
+/// the answer is the optimum, so there is nothing to trade for speed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KnapsackSolver;
 
 impl KnapsackSolver {
-    /// The default solver: full run, two sweeps.
+    /// The solver.
     pub fn new() -> Self {
-        KnapsackSolver::default()
+        KnapsackSolver
     }
 
-    /// Overrides the number of sweeps over the option list (minimum 1).
-    /// One sweep is the paper's literal single-pass table.
-    #[must_use]
-    pub fn with_passes(mut self, passes: usize) -> Self {
-        self.passes = passes.max(1);
-        self
-    }
-
-    /// Enables the paper's §VI early-termination heuristic: the run
-    /// stops `keys` keys after a configuration of exactly the capacity
-    /// weight first appears, making runtime independent of catalogue
-    /// size.
-    #[must_use]
-    pub fn with_early_termination(mut self, keys: usize) -> Self {
-        self.stop_keys_after_full = Some(keys);
-        self
-    }
-
-    /// Computes the best configuration of weight ≤ `capacity` chunks.
+    /// Computes a configuration of maximal value among those of weight
+    /// ≤ `capacity` chunks.
     ///
-    /// `POPULATE` from the paper: iterate objects in decreasing
-    /// best-value order; for each of the object's options, first try to
-    /// relax every intermediate configuration, then try to extend every
-    /// intermediate configuration by addition.
+    /// An option is skipped when its weight is 0 or above `capacity`, or
+    /// its value is not positive. Between configurations of equal value
+    /// (to 1e-12 of the values in play) the choice is fixed, whatever
+    /// the map's iteration order: the heavier option of an object wins,
+    /// a free upgrade to more cached chunks, and an object the paper's
+    /// `POPULATE` visits earlier (higher best value, then lower id) wins
+    /// over one it visits later.
     pub fn populate(
         &self,
         all_options: &HashMap<ObjectId, ObjectOptions>,
         capacity: u32,
     ) -> Config {
-        if capacity == 0 {
-            return Config::empty();
-        }
-        let keys = ordered_keys(all_options);
-        if let Some(config) = uncontended(&keys, capacity) {
-            return config;
-        }
-        let table = OptionTable::new(&keys);
-        let cells = self.fill(&table, capacity);
-        // Ascending weight order, and `max_by` keeps the last of equal
-        // maxima: value ties go to the heaviest configuration.
-        cells
-            .iter()
-            .flatten()
-            .max_by(|a, b| {
-                a.value
-                    .partial_cmp(&b.value)
-                    .expect("config values are finite")
-            })
-            .map_or_else(Config::empty, |cell| cell.to_config(&table))
-    }
-
-    /// Runs the dynamic program over every option of `table`. Returns
-    /// `MaxV`: `cells[w]` is the best configuration of weight exactly `w`
-    /// found, if any. Past the fast path the capacity is below the total
-    /// weight of the options, so the dense table is no larger than the
-    /// option list.
-    fn fill(&self, table: &OptionTable<'_>, capacity: u32) -> Vec<Option<Cell>> {
-        let objects = table.objects();
-        let mut cells: Vec<Option<Cell>> = (0..=capacity).map(|_| None).collect();
-        cells[0] = Some(Cell::empty(table));
-        let mut snapshot: Vec<usize> = Vec::new();
-        let mut keys_since_full: usize = 0;
-        let mut seen_full = false;
-
-        for object in (0..objects).cycle().take(objects * self.passes) {
-            for id in table.ids_of(object) {
-                let (option_weight, option_value) = (table.weight[id], table.value[id]);
-                if option_weight > capacity {
-                    continue;
-                }
-                // Relaxation pass: improve configurations in place
-                // (weight unchanged).
-                for cell in cells.iter_mut().flatten() {
-                    if !cell.holds(object) && cell.may_relax(option_weight, option_value, table) {
-                        cell.relax(id, table);
-                    }
-                }
-                // Addition pass: extend configurations to new weights.
-                // When the configuration already holds an option for the
-                // same object, this becomes a *replacement* (upgrade or
-                // downgrade) — without it a small option admitted early
-                // could never grow, and the DP would miss optima the
-                // exhaustive solver finds (DESIGN.md deviation list).
-                // Weights present before the pass are visited in
-                // DESCENDING order, the classic 0/1-knapsack trick:
-                // additions only ever target heavier weights, so no
-                // configuration is overwritten before the pass has
-                // extended it.
-                snapshot.clear();
-                snapshot.extend((0..cells.len()).rev().filter(|&w| cells[w].is_some()));
-                for &w in &snapshot {
-                    let Some(base) = &cells[w] else { continue };
-                    let w = w as u32;
-                    // Price the candidate without materialising it:
-                    // almost every candidate loses the comparison below.
-                    let held = if base.holds(object) {
-                        base.ids.iter().position(|&e| table.object[e] == object)
-                    } else {
-                        None
-                    };
-                    let (new_weight, new_value) = match held {
-                        Some(index) => {
-                            let old = base.ids[index];
-                            (
-                                w - table.weight[old] + option_weight,
-                                base.value - table.value[old] + option_value,
-                            )
-                        }
-                        None => (w + option_weight, base.value + option_value),
-                    };
-                    if new_weight > capacity || new_weight == w {
-                        continue;
-                    }
-                    let target = new_weight as usize;
-                    let should_replace = cells[target]
-                        .as_ref()
-                        .is_none_or(|existing| existing.value < new_value - 1e-12);
-                    if should_replace {
-                        let candidate = match held {
-                            Some(index) => Cell::replaced(&base.ids, index, None, id, table),
-                            None => {
-                                let mut extended = base.clone();
-                                extended.push(id, table);
-                                extended.value = new_value;
-                                extended
-                            }
-                        };
-                        cells[target] = Some(candidate);
+        let budgets = capacity as usize + 1;
+        // The reverse of `POPULATE`'s order: the DP hands ties to the
+        // objects it visits last.
+        let mut keyed: Vec<(f64, &ObjectOptions)> =
+            all_options.values().map(|o| (o.best_value(), o)).collect();
+        keyed.sort_unstable_by(|(a, x), (b, y)| a.total_cmp(b).then(y.object().cmp(&x.object())));
+        let objects: Vec<&ObjectOptions> = keyed.into_iter().map(|(_, o)| o).collect();
+        // best[c]: the most value the objects so far reach in ≤ c chunks;
+        // before: the same row without the current object.
+        let mut best = vec![0.0f64; budgets];
+        let mut before = vec![0.0f64; budgets];
+        // choices[g * budgets + c]: 1 + the position among `usable` of
+        // the option object g takes at budget c, or 0 for none.
+        let mut choices = vec![0u8; objects.len() * budgets];
+        for (options, row) in objects.iter().zip(choices.chunks_exact_mut(budgets)) {
+            before.copy_from_slice(&best);
+            // Candidates within `tie` count as equal: sums of the same
+            // options in another order differ by a few ulps. Options run
+            // weight-ascending and the last of equal candidates wins, so
+            // a tie goes to the heavier option, and to this object over
+            // the ones visited before it. An object has at most k ≤ 254
+            // options, so every pick fits in a byte.
+            let tie = TIE * (best[budgets - 1] + options.best_value());
+            for (pick, option) in (1..=u8::MAX).zip(usable(options, capacity)) {
+                let (weight, value) = (option.weight() as usize, option.value());
+                let targets = best[weight..].iter_mut().zip(&mut row[weight..]);
+                for ((best, choice), &base) in targets.zip(&before) {
+                    if base + value >= *best - tie {
+                        *best = base + value;
+                        *choice = pick;
                     }
                 }
             }
-
-            if let Some(stop_after) = self.stop_keys_after_full {
-                if seen_full {
-                    keys_since_full += 1;
-                    if keys_since_full >= stop_after {
-                        break;
-                    }
-                } else if cells[capacity as usize].is_some() {
-                    seen_full = true;
-                }
+        }
+        // Read the choices back from the full budget, last object first.
+        let mut picked = Vec::new();
+        let mut c = capacity as usize;
+        for (options, row) in objects.iter().zip(choices.chunks_exact(budgets)).rev() {
+            if let Some(option) = row[c]
+                .checked_sub(1)
+                .and_then(|position| usable(options, capacity).nth(usize::from(position)))
+            {
+                c -= option.weight() as usize;
+                picked.push(option);
             }
         }
-        cells
+        let mut config = Config::empty();
+        for option in picked {
+            config.push(option.clone());
+        }
+        config
     }
 }
 
-/// The keys of `POPULATE` in decreasing best-value order (ORDERBY in
-/// the paper), ties broken by object id.
-fn ordered_keys(all_options: &HashMap<ObjectId, ObjectOptions>) -> Vec<&ObjectOptions> {
-    let mut keys: Vec<&ObjectOptions> = all_options.values().collect();
-    keys.sort_by(|a, b| {
-        b.best_value()
-            .partial_cmp(&a.best_value())
-            .expect("option values are finite")
-            .then(a.object().cmp(&b.object()))
-    });
-    keys
-}
+/// Width of a value tie, relative to the largest value in play.
+const TIE: f64 = 1e-12;
 
-/// Uncontended fast path: when every object's best option fits in the
-/// budget simultaneously, the per-object choices are independent and
-/// taking each object's maximum-value option is exactly optimal — no
-/// dynamic program needed. This is the common shape of the *disk* phase
-/// of a two-tier solve, where the tier is sized to hold most of what RAM
-/// rejected. Value ties break towards the heavier option, matching the
-/// dynamic program (its final scan keeps the last — heaviest —
-/// configuration among equal values): a free upgrade to more cached
-/// chunks at identical modelled value.
-fn uncontended(keys: &[&ObjectOptions], capacity: u32) -> Option<Config> {
-    let best_per_object: Vec<&CachingOption> = keys
+/// The options of one object the solver may pick, weight ascending.
+fn usable(options: &ObjectOptions, capacity: u32) -> impl Iterator<Item = &CachingOption> {
+    options
         .iter()
-        .filter_map(|opts| {
-            opts.iter()
-                .filter(|o| o.value() > 0.0 && o.weight() > 0)
-                .max_by(|a, b| {
-                    a.value()
-                        .partial_cmp(&b.value())
-                        .expect("option values are finite")
-                        .then(a.weight().cmp(&b.weight()))
-                })
-        })
-        .collect();
-    let best_total: u64 = best_per_object.iter().map(|o| u64::from(o.weight())).sum();
-    if best_total > u64::from(capacity) {
-        return None;
-    }
-    let mut config = Config::empty();
-    for option in best_per_object {
-        config.push(option.clone());
-    }
-    Some(config)
-}
-
-/// Rounding slack of the relaxation bound, relative to the magnitude of
-/// the values a candidate sums. A candidate is a four-term float sum, so
-/// it can clear the acceptance test by a few ulps even when the exact
-/// bound says it cannot (the differential tests catch a bound without
-/// slack). The error of that sum and of the bound stays below ~8 ulps of
-/// the magnitude; the slack is 8× wider, so the bound only skips scans
-/// that cannot accept.
-const RELAX_BOUND_SLACK: f64 = 64.0 * f64::EPSILON;
-
-/// Every option of one solve under a dense id. Ids run object by object
-/// in key order and weight-ascending within an object, so the option of
-/// the same object `d` chunks lighter than id `i` is id `i - d`.
-struct OptionTable<'a> {
-    options: Vec<&'a CachingOption>,
-    /// Dense object index (position in key order) of each id.
-    object: Vec<usize>,
-    weight: Vec<u32>,
-    value: Vec<f64>,
-    /// `first[o]..first[o + 1]` are the ids of object `o`.
-    first: Vec<usize>,
-    max_weight: u32,
-    max_abs_value: f64,
-}
-
-impl<'a> OptionTable<'a> {
-    fn new(keys: &[&'a ObjectOptions]) -> Self {
-        let mut table = OptionTable {
-            options: Vec::new(),
-            object: Vec::new(),
-            weight: Vec::new(),
-            value: Vec::new(),
-            first: Vec::with_capacity(keys.len() + 1),
-            max_weight: 0,
-            max_abs_value: 0.0,
-        };
-        for (object, options) in keys.iter().enumerate() {
-            table.first.push(table.options.len());
-            for (position, option) in options.iter().enumerate() {
-                // `ObjectOptions::by_weight` indexes by position, which
-                // the shrink arithmetic on ids relies on.
-                debug_assert_eq!(option.weight() as usize, position + 1);
-                table.options.push(option);
-                table.object.push(object);
-                table.weight.push(option.weight());
-                table.value.push(option.value());
-                table.max_weight = table.max_weight.max(option.weight());
-                table.max_abs_value = table.max_abs_value.max(option.value().abs());
-            }
-        }
-        table.first.push(table.options.len());
-        table
-    }
-
-    fn objects(&self) -> usize {
-        self.first.len() - 1
-    }
-
-    fn ids_of(&self, object: usize) -> std::ops::Range<usize> {
-        self.first[object]..self.first[object + 1]
-    }
-}
-
-/// One `MaxV` entry: a configuration as option ids in the order the
-/// options were added, plus what lets most visits skip it.
-#[derive(Clone)]
-struct Cell {
-    ids: Vec<usize>,
-    /// The configuration's value, accumulated exactly as the paper's
-    /// table does: appended options add to it, replacements re-sum it in
-    /// option order.
-    value: f64,
-    /// Bitset over dense object indices present in `ids`.
-    members: Vec<u64>,
-    /// `min_loss[w]`: the least value any one entry loses when shrunk by
-    /// `w` chunks (to the same object's lighter option, or out of the
-    /// configuration); infinite when no entry weighs `w` or more.
-    min_loss: Vec<f64>,
-}
-
-impl Cell {
-    fn empty(table: &OptionTable<'_>) -> Cell {
-        Cell {
-            ids: Vec::new(),
-            value: 0.0,
-            members: vec![0u64; table.objects().div_ceil(64)],
-            min_loss: vec![f64::INFINITY; table.max_weight as usize + 1],
-        }
-    }
-
-    /// Appends option `id`, keeping `members` and `min_loss` in step;
-    /// the caller accounts for the value.
-    fn push(&mut self, id: usize, table: &OptionTable<'_>) {
-        let object = table.object[id];
-        self.members[object / 64] |= 1 << (object % 64);
-        let weight = table.weight[id] as usize;
-        for shrink in 1..=weight {
-            let remaining = if shrink < weight {
-                table.value[id - shrink]
-            } else {
-                0.0
-            };
-            self.min_loss[shrink] = self.min_loss[shrink].min(table.value[id] - remaining);
-        }
-        self.ids.push(id);
-    }
-
-    /// Drops the entry at `index`, then appends `replacement` (if any)
-    /// and `addition`, re-summing the value in the new option order.
-    fn replaced(
-        ids: &[usize],
-        index: usize,
-        replacement: Option<usize>,
-        addition: usize,
-        table: &OptionTable<'_>,
-    ) -> Cell {
-        let mut cell = Cell::empty(table);
-        let kept = ids[..index].iter().chain(&ids[index + 1..]).copied();
-        for id in kept.chain(replacement).chain([addition]) {
-            cell.push(id, table);
-        }
-        cell.value = cell.ids.iter().map(|&id| table.value[id]).sum();
-        cell
-    }
-
-    fn holds(&self, object: usize) -> bool {
-        self.members[object / 64] & (1 << (object % 64)) != 0
-    }
-
-    /// Whether some relaxation by an option of this weight and value
-    /// could pass the acceptance test in [`Cell::relax`]; `false` only
-    /// when no candidate can.
-    fn may_relax(&self, weight: u32, value: f64, table: &OptionTable<'_>) -> bool {
-        let Some(&min_loss) = self.min_loss.get(weight as usize) else {
-            return false;
-        };
-        let slack = RELAX_BOUND_SLACK * (self.value.abs() + 3.0 * table.max_abs_value);
-        value - min_loss > 1e-9 - slack
-    }
-
-    /// The relaxation move (paper Figure 5): make room for option `id`
-    /// by shrinking one entry to a lower weight of the same object,
-    /// keeping the total weight unchanged. Of the entries, in order,
-    /// each one whose candidate beats the best so far by more than 1e-9
-    /// becomes the new best; the last such entry is applied.
-    fn relax(&mut self, id: usize, table: &OptionTable<'_>) {
-        let (weight, value) = (table.weight[id], table.value[id]);
-        let mut best: Option<(usize, Option<usize>)> = None;
-        let mut best_value = self.value;
-        for (index, &old) in self.ids.iter().enumerate() {
-            let old_weight = table.weight[old];
-            if old_weight < weight {
-                continue; // cannot free enough space
-            }
-            // SEARCHOPTION: the same object's option at the reduced
-            // weight; weight 0 means full eviction.
-            let replacement = (old_weight > weight).then(|| old - weight as usize);
-            let replacement_value = replacement.map_or(0.0, |r| table.value[r]);
-            let candidate = self.value - table.value[old] + replacement_value + value;
-            if candidate > best_value + 1e-9 {
-                best_value = candidate;
-                best = Some((index, replacement));
-            }
-        }
-        if let Some((index, replacement)) = best {
-            *self = Cell::replaced(&self.ids, index, replacement, id, table);
-        }
-    }
-
-    fn to_config(&self, table: &OptionTable<'_>) -> Config {
-        Config {
-            options: self
-                .ids
-                .iter()
-                .map(|&id| table.options[id].clone())
-                .collect(),
-            weight: self.ids.iter().map(|&id| table.weight[id]).sum(),
-            value: self.value,
-        }
-    }
+        .filter(move |o| o.weight() > 0 && o.weight() <= capacity && o.value() > 0.0)
 }
 
 /// The outcome of a two-budget solve: one configuration per cache tier.
@@ -521,17 +199,16 @@ impl TieredConfig {
 impl KnapsackSolver {
     /// Two-budget solve over a RAM tier and a disk tier.
     ///
-    /// Phase 1 runs the paper's dynamic program verbatim over
-    /// `ram_options` against `ram_capacity`. Phase 2 asks
-    /// `disk_options_for` for disk-tier options *conditioned on* the
-    /// phase-1 allocation (the remaining chunks and the residual
+    /// Phase 1 solves `ram_options` against `ram_capacity`. Phase 2
+    /// asks `disk_options_for` for disk-tier options *conditioned on*
+    /// the phase-1 allocation (the remaining chunks and the residual
     /// latencies they leave behind — see
-    /// [`crate::options::generate_disk_options`]) and runs the same
-    /// dynamic program against `disk_capacity`. The sequential
-    /// decomposition is deliberate: RAM strictly dominates disk on
-    /// latency, so any chunk worth a RAM slot is worth it regardless of
-    /// what lands on disk, and conditioning phase 2 on phase 1 keeps
-    /// the two allocations disjoint by construction.
+    /// [`crate::options::generate_disk_options`]) and solves them
+    /// against `disk_capacity`. The sequential decomposition is
+    /// deliberate: RAM strictly dominates disk on latency, so any chunk
+    /// worth a RAM slot is worth it regardless of what lands on disk,
+    /// and conditioning phase 2 on phase 1 keeps the two allocations
+    /// disjoint by construction.
     ///
     /// With `disk_capacity == 0` the closure is never called and the
     /// disk configuration is empty.
@@ -587,38 +264,47 @@ pub fn greedy(all_options: &HashMap<ObjectId, ObjectOptions>, capacity: u32) -> 
 ///
 /// Runtime is `O((k + 1)^objects)`; intended for ≤ ~6 objects.
 pub fn exhaustive_optimum(all_options: &HashMap<ObjectId, ObjectOptions>, capacity: u32) -> Config {
-    let objects: Vec<&ObjectOptions> = {
-        let mut v: Vec<&ObjectOptions> = all_options.values().collect();
-        v.sort_by_key(|o| o.object());
-        v
-    };
+    let mut objects: Vec<&ObjectOptions> = all_options.values().collect();
+    objects.sort_by_key(|o| o.object());
     let mut best = Config::empty();
-    let mut stack: Vec<(usize, Config)> = vec![(0, Config::empty())];
-    while let Some((index, config)) = stack.pop() {
-        if config.value() > best.value() {
-            best = config.clone();
-        }
-        if index == objects.len() {
-            continue;
-        }
-        // Skip this object.
-        stack.push((index + 1, config.clone()));
-        // Or take each of its options.
-        for option in objects[index].iter() {
-            if config.weight() + option.weight() <= capacity {
-                let mut extended = config.clone();
-                extended.push(option.clone());
-                stack.push((index + 1, extended));
-            }
-        }
-    }
+    search(&objects, capacity, &mut Vec::new(), &mut best);
     best
 }
 
-/// The solver as the paper's table was first written here: every cell a
-/// full [`Config`], a linear search per addition and a map lookup per
-/// relaxation entry. [`KnapsackSolver::populate`] must reproduce it move
-/// for move; the differential tests compare the two bit for bit.
+/// Depth-first search of [`exhaustive_optimum`]: leave the first object
+/// out, or take one of its options that fits in `room`, then recurse.
+fn search<'a>(
+    objects: &[&'a ObjectOptions],
+    room: u32,
+    chosen: &mut Vec<&'a CachingOption>,
+    best: &mut Config,
+) {
+    let Some((first, rest)) = objects.split_first() else {
+        if chosen.iter().map(|o| o.value()).sum::<f64>() > best.value() {
+            *best = Config::empty();
+            chosen.iter().for_each(|&option| best.push(option.clone()));
+        }
+        return;
+    };
+    search(rest, room, chosen, best);
+    for option in first.iter().filter(|o| o.weight() <= room) {
+        chosen.push(option);
+        search(rest, room - option.weight(), chosen, best);
+        chosen.pop();
+    }
+}
+
+/// The paper's `POPULATE` (Figure 4) with its `RELAX` move (Figure 5),
+/// as this repository ran it before the exact solver: objects in
+/// decreasing best-value order, two sweeps over the option list, every
+/// `MaxV` cell a full [`Config`]. Kept as the paper-fidelity reference
+/// the exact solver is compared against.
+///
+/// Deviations from the pseudocode: weight keys are snapshotted per
+/// option (the pseudocode mutates `MaxV` while iterating it), an option
+/// for an object the configuration already caches replaces that entry
+/// (the pseudocode would double-count it), and the answer is the best
+/// configuration of weight ≤ capacity rather than exactly capacity.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -676,7 +362,7 @@ mod reference {
     /// a lower weight of the same object, keeping the configuration's
     /// total weight unchanged. Returns the improved configuration if any
     /// replacement raises the value.
-    pub(super) fn relax(
+    fn relax(
         config: &Config,
         option: &CachingOption,
         all_options: &HashMap<ObjectId, ObjectOptions>,
@@ -714,45 +400,23 @@ mod reference {
 
     /// `POPULATE` over a `BTreeMap` of full configurations.
     pub(super) fn populate(
-        solver: &KnapsackSolver,
         all_options: &HashMap<ObjectId, ObjectOptions>,
         capacity: u32,
     ) -> Config {
         if capacity == 0 {
             return Config::empty();
         }
-        let keys = ordered_keys(all_options);
-        if let Some(config) = uncontended(&keys, capacity) {
-            return config;
-        }
-        best(fill(solver, &keys, all_options, capacity))
-    }
-
-    /// The final scan: the last configuration of maximal value.
-    pub(super) fn best(max_v: BTreeMap<u32, Config>) -> Config {
-        max_v
-            .into_values()
-            .max_by(|a, b| {
-                a.value()
-                    .partial_cmp(&b.value())
-                    .expect("config values are finite")
-            })
-            .unwrap_or_default()
-    }
-
-    /// The dynamic program; returns `MaxV`.
-    pub(super) fn fill(
-        solver: &KnapsackSolver,
-        keys: &[&ObjectOptions],
-        all_options: &HashMap<ObjectId, ObjectOptions>,
-        capacity: u32,
-    ) -> BTreeMap<u32, Config> {
+        // ORDERBY in the paper: decreasing best value, ties by object id.
+        let mut keys: Vec<&ObjectOptions> = all_options.values().collect();
+        keys.sort_by(|a, b| {
+            b.best_value()
+                .partial_cmp(&a.best_value())
+                .expect("option values are finite")
+                .then(a.object().cmp(&b.object()))
+        });
         let mut max_v: BTreeMap<u32, Config> = BTreeMap::new();
         max_v.insert(0, Config::empty());
-        let mut keys_since_full: usize = 0;
-        let mut seen_full = false;
-
-        for object_options in keys.iter().cycle().take(keys.len() * solver.passes) {
+        for object_options in keys.iter().cycle().take(keys.len() * 2) {
             for option in object_options.iter() {
                 if option.weight() > capacity {
                     continue;
@@ -789,19 +453,16 @@ mod reference {
                     }
                 }
             }
-
-            if let Some(stop_after) = solver.stop_keys_after_full {
-                if seen_full {
-                    keys_since_full += 1;
-                    if keys_since_full >= stop_after {
-                        break;
-                    }
-                } else if max_v.contains_key(&capacity) {
-                    seen_full = true;
-                }
-            }
         }
+        // The final scan: the last configuration of maximal value.
         max_v
+            .into_values()
+            .max_by(|a, b| {
+                a.value()
+                    .partial_cmp(&b.value())
+                    .expect("config values are finite")
+            })
+            .unwrap_or_default()
     }
 }
 
@@ -861,6 +522,28 @@ mod tests {
     }
 
     #[test]
+    fn value_ties_go_to_the_heavier_option() {
+        let options = build_options(&[10.0]);
+        let object = &options[&ObjectId::new(0)];
+        // On the paper's layout the second chunk of a region adds
+        // nothing until the whole region leaves the read path, so each
+        // even weight ties the odd weight below it.
+        for (capacity, lighter) in [(2u32, 1u32), (4, 3), (6, 5), (8, 7)] {
+            let (light, heavy) = (
+                object.by_weight(lighter).expect("weight exists"),
+                object.by_weight(capacity).expect("weight exists"),
+            );
+            assert_eq!(light.value(), heavy.value(), "weights {lighter}/{capacity}");
+            let config = KnapsackSolver::new().populate(&options, capacity);
+            assert_eq!(
+                config.options(),
+                std::slice::from_ref(heavy),
+                "capacity {capacity}"
+            );
+        }
+    }
+
+    #[test]
     fn never_exceeds_capacity() {
         let options = build_options(&[10.0, 8.0, 6.0, 4.0, 2.0]);
         for capacity in [0u32, 1, 3, 7, 10, 20, 45, 100] {
@@ -876,27 +559,6 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for option in config.options() {
             assert!(seen.insert(option.object()), "duplicate object in config");
-        }
-    }
-
-    #[test]
-    fn dp_matches_exhaustive_optimum_on_small_instances() {
-        for (pops, capacity) in [
-            (vec![10.0, 8.0], 9u32),
-            (vec![10.0, 8.0, 6.0], 12),
-            (vec![10.0, 1.0, 1.0, 1.0], 15),
-            (vec![5.0, 5.0, 5.0], 7),
-            (vec![100.0, 1.0], 10),
-        ] {
-            let options = build_options(&pops);
-            let dp = KnapsackSolver::new().populate(&options, capacity);
-            let opt = exhaustive_optimum(&options, capacity);
-            assert!(
-                (dp.value() - opt.value()).abs() < 1e-6,
-                "pops {pops:?} capacity {capacity}: dp {} vs optimum {}",
-                dp.value(),
-                opt.value()
-            );
         }
     }
 
@@ -939,70 +601,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn relax_shrinks_existing_entries_when_profitable() {
-        let options = build_options(&[10.0, 9.9]);
-        // Capacity 9 fits one full replica; equal-ish popularity means
-        // two partial allocations (e.g. 3 + 5 or similar) beat 9 + 0:
-        // weight 3 already captures 2800/3360 of the improvement.
-        let config = KnapsackSolver::new().populate(&options, 9);
-        assert!(config.options().len() == 2, "expected a split allocation");
-        // And the split must beat the single full replica.
-        assert!(config.value() > 10.0 * 3360.0);
-    }
-
-    #[test]
-    fn relax_function_direct() {
-        let options = build_options(&[10.0, 8.0]);
-        let obj0 = ObjectId::new(0);
-        let obj1 = ObjectId::new(1);
-        // Config holding object 0 at weight 9.
-        let mut config = Config::empty();
-        config.push(options[&obj0].by_weight(9).unwrap().clone());
-        // Relaxing with object 1's weight-3 option shrinks object 0 to 6.
-        let incoming = options[&obj1].by_weight(3).unwrap();
-        let improved =
-            reference::relax(&config, incoming, &options).expect("relaxation profitable");
-        assert_eq!(improved.weight(), 9);
-        assert!(improved.value() > config.value());
-        assert!(improved.contains_object(obj1));
-        // Relaxing with an option for an object already present: no-op.
-        assert!(
-            reference::relax(&improved, options[&obj0].by_weight(1).unwrap(), &options).is_none()
-        );
-    }
-
-    /// Every solver setting the repository runs.
-    fn solver_settings() -> [(&'static str, KnapsackSolver); 4] {
-        [
-            ("default", KnapsackSolver::new()),
-            ("passes(1)", KnapsackSolver::new().with_passes(1)),
-            (
-                "early_termination(5)",
-                KnapsackSolver::new().with_early_termination(5),
-            ),
-            (
-                "early_termination(30).passes(1)",
-                KnapsackSolver::new()
-                    .with_early_termination(30)
-                    .with_passes(1),
-            ),
-        ]
-    }
-
     #[derive(Clone, Copy, Debug)]
     enum Popularity {
         /// `1000 / rank^s` with a random exponent.
         Zipf,
         /// Three levels on the paper's layout: many objects share
-        /// identical option values, so moves tie exactly.
+        /// identical option values, so choices tie exactly.
         Coarse,
         /// One-decimal popularities.
         Decimal,
     }
 
     /// A seeded instance of `objects` objects under shuffled, non-dense
-    /// ids (the request monitor tracks a sparse subset of the catalogue).
+    /// ids (the request monitor tracks a sparse subset of the catalogue),
+    /// coded RS(4,2), RS(6,3) or RS(9,3) on the paper's region layout or
+    /// a random one.
     fn random_instance(
         rng: &mut StdRng,
         objects: usize,
@@ -1029,10 +642,8 @@ mod tests {
             ids.swap(i, rng.random_range(0..=i));
         }
         let exponent = 0.6 + f64::from(rng.random_range(0..9u32)) / 10.0;
-        // Non-integer popularities over magnitudes from 1e-3 to 1e5: sums
-        // carry rounding noise both below and above the 1e-12 and 1e-9
-        // tie thresholds, so any change to them or to the order of
-        // summation changes some configuration.
+        // Non-integer popularities over magnitudes from 1e-3 to 1e5, so
+        // sums carry rounding noise.
         let scale = 10f64.powi(rng.random_range(-3..6)) / 3.0;
         ids.into_iter()
             .take(objects)
@@ -1064,108 +675,137 @@ mod tests {
             .collect()
     }
 
-    fn assert_same_config(fast: &Config, slow: &Config, context: &str) {
-        assert_eq!(fast.options(), slow.options(), "{context}: options");
-        assert_eq!(fast.weight(), slow.weight(), "{context}: weight");
-        assert_eq!(
-            fast.value().to_bits(),
-            slow.value().to_bits(),
-            "{context}: value {} vs {}",
-            fast.value(),
-            slow.value()
-        );
+    fn popularity_for(case: u32) -> Popularity {
+        [Popularity::Zipf, Popularity::Coarse, Popularity::Decimal][case as usize % 3]
     }
 
-    /// Asserts the index-based solver replays the reference table
-    /// exactly under every solver setting: the answer, and every
-    /// intermediate configuration the table ends with, so a move the
-    /// answer happens not to depend on still counts.
-    fn assert_matches_reference(
+    /// Asserts a solver's answer is a valid configuration: within
+    /// capacity, one option per object, and its weight and value are the
+    /// sums of its options.
+    fn assert_valid(config: &Config, capacity: u32, context: &str) {
+        assert!(config.weight() <= capacity, "{context}: over capacity");
+        let mut seen = std::collections::HashSet::new();
+        for option in config.options() {
+            assert!(seen.insert(option.object()), "{context}: object twice");
+        }
+        let weight: u32 = config.options().iter().map(CachingOption::weight).sum();
+        assert_eq!(weight, config.weight(), "{context}: weight");
+    }
+
+    /// Whether `value` is within 1e-9 (relative) of `optimum`.
+    fn matches(value: f64, optimum: f64) -> bool {
+        (value - optimum).abs() <= 1e-9 * optimum.abs().max(1.0)
+    }
+
+    #[test]
+    fn exact_dp_matches_exhaustive_optimum_on_seeded_instances() {
+        let mut rng = StdRng::seed_from_u64(0xE8AC_7001);
+        for case in 0..600u32 {
+            let popularity = popularity_for(case);
+            let objects = rng.random_range(1..=6);
+            let options = random_instance(&mut rng, objects, popularity);
+            let heaviest: u32 = options
+                .values()
+                .map(|o| o.iter().map(CachingOption::weight).max().unwrap_or(0))
+                .sum();
+            let capacity = rng.random_range(0..=heaviest + 2);
+            let context = format!("case {case} ({popularity:?}, {objects} objects, C={capacity})");
+            let dp = KnapsackSolver::new().populate(&options, capacity);
+            let optimum = exhaustive_optimum(&options, capacity);
+            assert_valid(&dp, capacity, &context);
+            assert!(
+                matches(dp.value(), optimum.value()),
+                "{context}: dp {} vs optimum {}",
+                dp.value(),
+                optimum.value()
+            );
+        }
+    }
+
+    /// Returns the exact solver's relative gain over the paper's
+    /// `POPULATE` on `options`, after checking the exact one is no worse.
+    fn gain_over_paper(
         options: &HashMap<ObjectId, ObjectOptions>,
         capacity: u32,
         context: &str,
-    ) {
-        let keys = ordered_keys(options);
-        let dp_runs = capacity > 0 && uncontended(&keys, capacity).is_none();
-        let table = OptionTable::new(&keys);
-        for (name, solver) in solver_settings() {
-            let context = format!("{context} {name}");
-            let answer = solver.populate(options, capacity);
-            if !dp_runs {
-                let expected = reference::populate(&solver, options, capacity);
-                assert_same_config(&answer, &expected, &context);
-                continue;
-            }
-            let cells = solver.fill(&table, capacity);
-            let max_v = reference::fill(&solver, &keys, options, capacity);
-            let weights: Vec<usize> = (0..cells.len()).filter(|&w| cells[w].is_some()).collect();
-            let reference_weights: Vec<usize> = max_v.keys().map(|&w| w as usize).collect();
-            assert_eq!(weights, reference_weights, "{context}: occupied weights");
-            for (w, config) in &max_v {
-                let cell = cells[*w as usize].as_ref().expect("occupied");
-                assert_same_config(&cell.to_config(&table), config, &format!("{context} w={w}"));
-            }
-            assert_same_config(&answer, &reference::best(max_v), &context);
+    ) -> f64 {
+        let exact = KnapsackSolver::new().populate(options, capacity);
+        let paper = reference::populate(options, capacity);
+        assert_valid(&exact, capacity, context);
+        assert_valid(&paper, capacity, context);
+        assert!(
+            exact.value() >= paper.value() || matches(exact.value(), paper.value()),
+            "{context}: exact {} below the paper DP {}",
+            exact.value(),
+            paper.value()
+        );
+        if matches(exact.value(), paper.value()) {
+            0.0
+        } else {
+            (exact.value() - paper.value()) / exact.value()
         }
     }
 
     #[test]
-    fn dp_replays_the_reference_table_on_seeded_instances() {
+    fn exact_dp_is_never_below_the_paper_dp() {
         let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
-        for case in 0..100u32 {
-            let popularity =
-                [Popularity::Zipf, Popularity::Coarse, Popularity::Decimal][case as usize % 3];
-            // Mostly catalogues that contend for the capacity (with up
-            // to 9 chunks an object, the fast path answers once the
-            // capacity exceeds ~9 chunks an object), a few large ones at
-            // small capacities.
-            let (objects, capacity) = if case % 20 == 19 {
-                (rng.random_range(40..=320), rng.random_range(0..=60))
-            } else {
-                let capacity = match case {
-                    0 => 0,
-                    1 => 200,
-                    _ => rng.random_range(0..=200),
-                };
-                (rng.random_range(1..=8 + capacity as usize / 6), capacity)
-            };
+        let mut gaps: Vec<f64> = Vec::new();
+        for case in 0..1000u32 {
+            let popularity = popularity_for(case);
+            let objects = rng.random_range(2..=60);
+            let capacity = rng.random_range(1..=120);
             let options = random_instance(&mut rng, objects, popularity);
             let context = format!("case {case} ({popularity:?}, {objects} objects, C={capacity})");
-            assert_matches_reference(&options, capacity, &context);
+            let gain = gain_over_paper(&options, capacity, &context);
+            if gain > 0.0 {
+                gaps.push(gain);
+            }
         }
-    }
-
-    #[test]
-    fn dp_replays_the_reference_table_at_the_bench_shape() {
         // The criterion bench's instance: 300 objects, Zipf-ish values,
-        // the paper's 90-chunk cache.
+        // the paper's 90-chunk cache; then what the monitor hands the
+        // solver, a sparse subset of them (about 137 of the 300).
         let pops: Vec<f64> = (0..300).map(|i| 1000.0 / (i + 1) as f64).collect();
         let options = build_options(&pops);
-        assert_matches_reference(&options, 90, "bench shape");
-        // What the monitor hands the solver: a sparse subset of them
-        // (about 137 of the 300).
+        gain_over_paper(&options, 90, "bench shape");
         let tracked: HashMap<ObjectId, ObjectOptions> = options
             .into_iter()
             .filter(|(object, _)| object.index() * 7919 % 300 < 137)
             .collect();
-        assert_matches_reference(&tracked, 90, "tracked subset");
+        gain_over_paper(&tracked, 90, "tracked subset");
+        let max = gaps.iter().copied().fold(0.0, f64::max);
+        let mean = gaps.iter().sum::<f64>() / gaps.len().max(1) as f64;
+        println!(
+            "paper DP below the exact optimum on {} of 1000 instances: max {:.3}%, mean {:.3}% of those",
+            gaps.len(),
+            max * 100.0,
+            mean * 100.0
+        );
     }
 
     #[test]
-    fn early_termination_still_respects_capacity_and_quality() {
-        let options = build_options(&[10.0, 8.0, 6.0, 4.0, 2.0, 1.0]);
-        let exact = KnapsackSolver::new().populate(&options, 18);
-        let fast = KnapsackSolver::new()
-            .with_early_termination(2)
-            .populate(&options, 18);
-        assert!(fast.weight() <= 18);
-        // The heuristic may lose some value but not most of it.
-        assert!(
-            fast.value() >= 0.8 * exact.value(),
-            "fast {} vs exact {}",
-            fast.value(),
-            exact.value()
-        );
+    fn map_order_does_not_change_the_config() {
+        let mut rng = StdRng::seed_from_u64(0x0DE7);
+        for case in 0..50u32 {
+            let objects = rng.random_range(2..=40);
+            let capacity = rng.random_range(1..=90);
+            let options = random_instance(&mut rng, objects, popularity_for(case));
+            let expected = KnapsackSolver::new().populate(&options, capacity);
+            // The same entries inserted in a shuffled order into a map
+            // with its own hash seed.
+            let mut entries: Vec<(ObjectId, ObjectOptions)> = options.into_iter().collect();
+            for i in (1..entries.len()).rev() {
+                entries.swap(i, rng.random_range(0..=i));
+            }
+            let shuffled: HashMap<ObjectId, ObjectOptions> = entries.into_iter().collect();
+            let config = KnapsackSolver::new().populate(&shuffled, capacity);
+            assert_eq!(config.options(), expected.options(), "case {case}");
+            assert_eq!(config.weight(), expected.weight(), "case {case}");
+            assert_eq!(
+                config.value().to_bits(),
+                expected.value().to_bits(),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

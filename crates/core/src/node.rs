@@ -165,7 +165,8 @@ pub struct AgarSettings {
     /// and a-priori disk fills run off the critical path, so this only
     /// informs diagnostics and the experiment harness.
     pub disk_write: Duration,
-    /// Knapsack solver configuration.
+    /// The knapsack solver. It is exact and has no settings; the field
+    /// lets a caller re-run the node's solve on the same options.
     pub solver: KnapsackSolver,
     /// Per-request trace sampling: record a [`ReadTrace`] for every
     /// Nth read. `0` (the default) disables tracing entirely — the
@@ -416,8 +417,7 @@ impl AgarNode {
             &mut rng,
         );
         let manager = CacheManager::new(settings.cache_capacity_bytes)
-            .with_disk_capacity(settings.disk_capacity_bytes)
-            .with_solver(settings.solver.clone());
+            .with_disk_capacity(settings.disk_capacity_bytes);
         let breaker = CircuitBreaker::new(settings.breaker, backend.topology().len());
         Ok(AgarNode {
             region,

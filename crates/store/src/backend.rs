@@ -265,6 +265,18 @@ impl Backend {
             .ok_or(StoreError::UnknownObject { object })
     }
 
+    /// The region hosting `chunk`, read under the manifests lock
+    /// without copying the manifest.
+    fn chunk_region(&self, chunk: ChunkId) -> Result<RegionId, StoreError> {
+        self.manifests
+            .read()
+            .get(&chunk.object())
+            .map(|manifest| manifest.location(chunk.index().value() as usize))
+            .ok_or(StoreError::UnknownObject {
+                object: chunk.object(),
+            })
+    }
+
     /// Fetches one chunk on behalf of a client in `client_region`,
     /// sampling the WAN latency.
     ///
@@ -280,8 +292,7 @@ impl Backend {
         chunk: ChunkId,
         rng: &mut dyn RngCore,
     ) -> Result<ChunkFetch, StoreError> {
-        let manifest = self.manifest(chunk.object())?;
-        let region = manifest.location(chunk.index().value() as usize);
+        let region = self.chunk_region(chunk)?;
         let bucket = self.bucket(region)?;
         if !bucket.is_available() {
             return Err(StoreError::RegionUnavailable { region });
@@ -326,8 +337,7 @@ impl Backend {
         let mut resolved: Vec<Result<(RegionId, Bytes, u64), StoreError>> = chunks
             .iter()
             .map(|&chunk| {
-                let manifest = self.manifest(chunk.object())?;
-                let region = manifest.location(chunk.index().value() as usize);
+                let region = self.chunk_region(chunk)?;
                 let bucket = self.bucket(region)?;
                 if !bucket.is_available() {
                     return Err(StoreError::RegionUnavailable { region });
